@@ -79,15 +79,15 @@ RUN_SERVE_CELLS = [
 RUN_SCHEDULES = ("1f1b", "zb-h1", "interleaved")
 RUN_BATCHES = (16, 32, 64, 128)
 #: Requests above this many kernel records are left out of the pins.
-#: The dearest left take about 0.4 s on two cores, so a 20 s run sends
-#: over 100 requests and its 90th percentile has ten samples beyond it;
+#: The dearest left take about 0.4 s on two cores, so a 25 s run sends
+#: 90-150 requests and its 90th percentile has ten samples beyond it;
 #: requests of 60,000+ records take 1-3.5 s each and would make a run
 #: depend on whether the seed drew them.
 RUN_MAX_RECORDS = 20000
 #: run-cold draws one request from each of this many host-cost classes
 #: in turn, in an order that does not depend on the seed, so runs of
 #: any seed send the same mix of costs and differ only in which request
-#: of a class they send. A run of 20 s covers two to three rounds.
+#: of a class they send. A run of 25 s covers three to five rounds.
 RUN_STRATA = 28
 
 #: sweep-grid layouts: PP=1, where batched replay can answer the grid,
@@ -209,9 +209,18 @@ def run_sequence(pins: dict, seed: int) -> list[dict]:
     Each round sends one seeded request of every class, classes in a
     fixed order, so any prefix of a run has the same mix of cheap and
     expensive requests whatever the seed.
+
+    The dearest class alone goes in a fixed order, dearest first, so
+    every run sends the universe's largest request in its first round.
+    A run's peak RSS is set by its largest request (the dearest,
+    mixtral-8x22b on mi250x32 at batch 128, peaks 12 MB above any
+    other); drawn by the seed, it was in about half the runs, and the
+    peak split into two levels 15% apart.
     """
     rng = random.Random(f"run-cold/{seed}")
-    queues = [rng.sample(specs, len(specs)) for specs in cost_classes(pins)]
+    classes = cost_classes(pins)
+    queues = [rng.sample(specs, len(specs)) for specs in classes[:-1]]
+    queues.append(list(classes[-1]))  # ascending: pop() takes the dearest
     order = list(range(len(queues)))
     random.Random("run-cold/class-order").shuffle(order)
     sequence = []

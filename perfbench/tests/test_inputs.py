@@ -30,6 +30,13 @@ def test_run_sequence_blocks_take_one_request_per_cost_class(pins):
                 list(range(len(classes))))
 
 
+def test_run_sequence_sends_the_dearest_request_first_round(pins):
+    dearest = max(pins["run"].values(), key=lambda e: e["cost_s"])
+    for seed in (0, 1, 2):
+        first_round = inputs.run_sequence(pins, seed)[:inputs.RUN_STRATA]
+        assert dearest["spec"] in first_round
+
+
 def test_grid_sequence_is_seeded_and_pinned(pins):
     grids = inputs.grid_sequence(3, grids=8)
     assert grids == inputs.grid_sequence(3, grids=8)
