@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.results import RunResult
-from repro.core.sweep import cached_run_inference, cached_run_training
+from repro.core.sweep import cached_run
 from repro.engine.kernels import KernelCategory
 from repro.parallelism.strategy import OptimizationConfig
 
@@ -46,7 +46,8 @@ def train(
     global_batch_size: int = PAPER_GLOBAL_BATCH,
 ) -> RunResult:
     """Memoised paper-scale training run."""
-    return cached_run_training(
+    return cached_run(
+        "train",
         model=model,
         cluster=cluster,
         parallelism=parallelism,
@@ -64,7 +65,8 @@ def infer(
     global_batch_size: int = PAPER_GLOBAL_BATCH,
 ) -> RunResult:
     """Memoised paper-scale inference run."""
-    return cached_run_inference(
+    return cached_run(
+        "infer",
         model=model,
         cluster=cluster,
         parallelism=parallelism,

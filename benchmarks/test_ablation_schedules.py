@@ -10,7 +10,7 @@ exactly when the bubble is the binding constraint.
 
 from paper import print_table
 
-from repro.core.sweep import cached_run_training
+from repro.core.sweep import cached_run
 from repro.models.catalog import GPT3_13B, GPT3_175B
 from repro.models.memory import activation_bytes
 from repro.engine.schedule import pipeline_bubble_fraction
@@ -29,7 +29,8 @@ MICROBATCHES = BASE["global_batch_size"] // DP  # per replica
 
 
 def _run(**config_kwargs):
-    return cached_run_training(
+    return cached_run(
+        "train",
         parallelism=ParallelismConfig(tp=2, pp=PP, dp=DP, **config_kwargs),
         **BASE,
     )

@@ -6,7 +6,7 @@ oracle/baseline, ``fast_path=True`` is the vectorized physics +
 collective-cost memoisation + cheap-recording path — and asserts the
 optimized path clears ``REPRO_BENCH_MIN_SPEEDUP`` (default 3x). The
 persistent result cache is explicitly out of the measurement: every run
-here is a cold ``run_training`` call, so the speedup comes from the
+here is a cold ``execute_training`` call, so the speedup comes from the
 hot-path work alone.
 
 Writes ``BENCH_simulation.json`` at the repo root so the performance
@@ -18,7 +18,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.core.store import persistence_disabled
 from repro.engine.simulator import SimSettings
 
@@ -38,7 +38,7 @@ def _best_time(model: str, cluster: str, parallelism: str,
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        result = run_training(
+        result = execute_training(
             model=model,
             cluster=cluster,
             parallelism=parallelism,
@@ -103,8 +103,7 @@ def test_sweep_inference_memoises_grid():
     once, and a warm repeat of the whole sweep is served entirely from
     the in-process memo (identical result objects, no new simulations).
     """
-    from repro.core.sweep import clear_cache, lookup_memo
-    from repro.inference.engine import sweep_inference
+    from repro.core.sweep import clear_cache, lookup_memo, sweep_inference
 
     kwargs = dict(
         model="gpt3-13b",

@@ -20,11 +20,9 @@ covering training, inference, serving, and fleet simulation::
 The same requests drive the ``repro.serve`` broker (``python -m repro
 serve``) over HTTP, and :class:`OptimizeRequest` asks the joint
 auto-search (:mod:`repro.optimize`, docs/optimize.md) for the best
-configuration instead of one configuration. The historical
-``run_training`` / ``run_inference`` / ``cached_run_*`` entrypoints
-remain importable as deprecation shims; see docs/api.md. See DESIGN.md
-for the system inventory and EXPERIMENTS.md for the per-figure
-reproduction index.
+configuration instead of one configuration. See DESIGN.md for the
+system inventory and EXPERIMENTS.md for the per-figure reproduction
+index.
 """
 
 from repro.api import (
@@ -35,7 +33,6 @@ from repro.api import (
     submit,
     submit_many,
 )
-from repro.core.experiment import run_inference, run_training
 from repro.datacenter import (
     POLICIES,
     ArrivalConfig,
@@ -49,8 +46,6 @@ from repro.core.faults import FaultSpec, power_failure
 from repro.core.results import RunResult
 from repro.core.sweep import (
     SweepPoint,
-    cached_run_inference,
-    cached_run_training,
     normalize_by_best,
     run_sweep,
 )
@@ -68,7 +63,6 @@ from repro.inferserve import (
     ServingOutcome,
     TraceConfig,
     execute_serving,
-    search_serving_setpoint,
 )
 from repro.models.catalog import TABLE1_MODELS, get_model, model_names
 from repro.models.config import ModelConfig, MoEConfig
@@ -114,8 +108,6 @@ __all__ = [
     "SimRequest",
     "SweepPoint",
     "TraceConfig",
-    "cached_run_inference",
-    "cached_run_training",
     "cluster_names",
     "execute_serving",
     "get_cluster",
@@ -125,10 +117,7 @@ __all__ = [
     "normalize_by_best",
     "one_gpu_per_node",
     "parse_strategy",
-    "run_inference",
     "run_sweep",
-    "run_training",
-    "search_serving_setpoint",
     "submit",
     "submit_many",
     "valid_configs",

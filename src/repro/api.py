@@ -29,13 +29,6 @@ plan × microbatch × schedule × setpoint auto-search with the same
 validation, serialisation, and digest idioms, accepted by
 :func:`submit` / :func:`submit_many`, the broker, and
 ``python -m repro optimize`` alike (docs/optimize.md).
-
-The historical entrypoints (``run_training``, ``run_inference``,
-``cached_run_training``, ``cached_run_inference``, and the setpoint
-searches ``powerctl.search_energy_optimal``, ``powerctl.sweep_setpoints``,
-``inferserve.search_serving_setpoint``) remain importable as thin
-deprecation shims over this module and :mod:`repro.optimize`; see
-docs/api.md for the migration table.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Mapping
 
@@ -797,63 +789,3 @@ def submit_many(
         [results[request.digest()] for request in requests], report
     )
 
-
-def legacy_run(kind: str, args: tuple, kwargs: dict, *, cached: bool):
-    """Execution path behind the four deprecated entrypoints.
-
-    Behaviour (argument handling, cache addressing, return types) is
-    bit-identical to the historical functions: cached shims keep their
-    kwargs verbatim as the cache key; uncached shims accept the full
-    positional/object-typed signatures of ``execute_*``.
-    """
-    if cached:
-        from repro.core.sweep import cached_run
-
-        return cached_run(kind, **kwargs)
-    runner = execute_training if kind == "train" else execute_inference
-    return runner(*args, **kwargs)
-
-
-_LEGACY_REPLACEMENTS = {
-    "run_training": "repro.api.submit(SimRequest(kind='training', ...))",
-    "run_inference": "repro.api.submit(SimRequest(kind='inference', ...))",
-    "cached_run_training": "repro.api.submit (cached by default)",
-    "cached_run_inference": "repro.api.submit (cached by default)",
-    "inference.serving.ROUTERS": "repro.inferserve.ROUTERS",
-    "inference.serving.ServingConfig":
-        "repro.inferserve.StaticRouterConfig",
-    "inference.serving.ServingOutcome":
-        "repro.inferserve.RouterOutcome",
-    "inference.serving.compare_routers":
-        "repro.inferserve.compare_routers",
-    "inference.serving.simulate_serving":
-        "repro.inferserve.simulate_static_routing",
-    "powerctl.search_energy_optimal":
-        "repro.optimize.optimize_setpoint (or repro.api.submit("
-        "OptimizeRequest(...)) for the joint search)",
-    "powerctl.sweep_setpoints": "repro.optimize.evaluate_setpoints",
-    "inferserve.search_serving_setpoint":
-        "repro.optimize.optimize_serving_setpoint (or repro.api.submit("
-        "OptimizeRequest(kind='serving', ...)) for the joint search)",
-}
-
-_warned: set[str] = set()
-
-
-def warn_deprecated(name: str) -> None:
-    """Emit the one-time deprecation warning for a legacy entrypoint."""
-    if name in _warned:
-        return
-    _warned.add(name)
-    warnings.warn(
-        f"repro.{name}() is deprecated; use "
-        f"{_LEGACY_REPLACEMENTS.get(name, 'repro.api.submit')} "
-        "(see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_deprecation_warnings() -> None:
-    """Re-arm the one-time warnings (test isolation hook)."""
-    _warned.clear()

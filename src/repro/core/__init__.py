@@ -1,9 +1,7 @@
 """Experiment orchestration: runs, results, sweeps.
 
 :func:`execute_training` / :func:`execute_inference` / :func:`cached_run`
-are the canonical execution paths; ``run_training`` / ``run_inference``
-/ ``cached_run_training`` / ``cached_run_inference`` remain importable
-as deprecation shims over :mod:`repro.api`.
+are the execution paths; :mod:`repro.api` is the typed surface on top.
 """
 
 from repro.core.artifact import (
@@ -21,16 +19,12 @@ from repro.core.experiment import (
     DEFAULT_GLOBAL_BATCH,
     execute_inference,
     execute_training,
-    run_inference,
-    run_training,
 )
 from repro.core.faults import HEALTHY, FaultSpec, power_failure
 from repro.core.results import RunResult
 from repro.core.sweep import (
     SweepPoint,
     cached_run,
-    cached_run_inference,
-    cached_run_training,
     clear_cache,
     normalize_by_best,
     run_sweep,
@@ -51,13 +45,9 @@ __all__ = [
     "RunResult",
     "SweepPoint",
     "cached_run",
-    "cached_run_inference",
-    "cached_run_training",
     "clear_cache",
     "execute_inference",
     "execute_training",
     "normalize_by_best",
-    "run_inference",
     "run_sweep",
-    "run_training",
 ]

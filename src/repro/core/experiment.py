@@ -10,9 +10,6 @@ surface on top of them is :mod:`repro.api`::
     ))
     print(result.efficiency().tokens_per_s)
 
-The historical entrypoints :func:`run_training` / :func:`run_inference`
-remain importable as thin deprecation shims over :mod:`repro.api`.
-
 Models, clusters, and strategies accept either catalog names or the
 corresponding config objects. Global batch size defaults to the paper's
 128 sequences; the first iteration is treated as warm-up and discarded
@@ -176,28 +173,3 @@ def execute_inference(
         placement=mesh.placement,
     )
 
-
-def run_training(*args, **kwargs) -> RunResult:
-    """Deprecated alias for :func:`repro.api.submit`.
-
-    Same signature, behaviour, and return type as
-    :func:`execute_training`; emits a one-time :class:`DeprecationWarning`
-    pointing at the stable :mod:`repro.api` surface (docs/api.md).
-    """
-    from repro import api
-
-    api.warn_deprecated("run_training")
-    return api.legacy_run("train", args, kwargs, cached=False)
-
-
-def run_inference(*args, **kwargs) -> RunResult:
-    """Deprecated alias for :func:`repro.api.submit` (inference kind).
-
-    Same signature, behaviour, and return type as
-    :func:`execute_inference`; emits a one-time
-    :class:`DeprecationWarning` pointing at :mod:`repro.api`.
-    """
-    from repro import api
-
-    api.warn_deprecated("run_inference")
-    return api.legacy_run("infer", args, kwargs, cached=False)

@@ -195,27 +195,6 @@ def seed_memo(kind: str, kwargs: dict, result: RunResult) -> None:
     _CACHE.setdefault(_cache_key(kind, kwargs), result)
 
 
-def cached_run_training(**kwargs) -> RunResult:
-    """Deprecated alias for :func:`cached_run` (``"train"`` kind).
-
-    Same behaviour, cache addressing, and return type; emits a one-time
-    :class:`DeprecationWarning` pointing at :mod:`repro.api` /
-    :func:`cached_run` (docs/api.md).
-    """
-    from repro import api
-
-    api.warn_deprecated("cached_run_training")
-    return api.legacy_run("train", (), kwargs, cached=True)
-
-
-def cached_run_inference(**kwargs) -> RunResult:
-    """Deprecated alias for :func:`cached_run` (``"infer"`` kind)."""
-    from repro import api
-
-    api.warn_deprecated("cached_run_inference")
-    return api.legacy_run("infer", (), kwargs, cached=True)
-
-
 def clear_cache() -> None:
     """Drop all memoised results, in-memory and persistent.
 
@@ -321,6 +300,94 @@ def run_sweep(
         if on_result is not None:
             on_result(point, result)
     return results
+
+
+@dataclass(frozen=True)
+class InferencePoint:
+    """One Figure 23 bar group: a (strategy, microbatch) inference run."""
+
+    parallelism: str
+    microbatch_size: int
+    result: RunResult
+
+    @property
+    def tokens_per_s(self) -> float:
+        return self.result.efficiency().tokens_per_s
+
+    @property
+    def avg_power_w(self) -> float:
+        return self.result.stats().avg_power_w
+
+    @property
+    def peak_power_w(self) -> float:
+        return self.result.stats().peak_power_w
+
+    @property
+    def avg_temp_c(self) -> float:
+        return self.result.stats().avg_temp_c
+
+
+def sweep_inference(
+    model: str,
+    cluster: str,
+    strategies: list[str],
+    microbatch_sizes: list[int],
+    global_batch_size: int = 128,
+    jobs: int = 1,
+) -> list[InferencePoint]:
+    """Run the Figure 23 grid: strategies x microbatch sizes.
+
+    The grid is materialised up front, deduplicated (a strategy or
+    microbatch repeated in the input simulates once), and fanned out
+    over the crash-proof worker pool when ``jobs != 1`` (0 = auto).
+    Results come back in grid order either way, and every point lands
+    in the shared memo, so repeating the sweep costs dict lookups.
+    """
+    from repro.core.parallel import map_runs, resolve_jobs
+
+    grid = [
+        (strategy, mb)
+        for strategy in strategies
+        for mb in microbatch_sizes
+    ]
+    payloads = [
+        (
+            "infer",
+            dict(
+                model=model,
+                cluster=cluster,
+                parallelism=strategy,
+                microbatch_size=mb,
+                global_batch_size=global_batch_size,
+            ),
+        )
+        for strategy, mb in grid
+    ]
+    distinct: dict[tuple, tuple[str, dict]] = {}
+    for payload in payloads:
+        distinct.setdefault(cache_key(*payload), payload)
+    jobs = 1 if jobs == 1 else resolve_jobs(jobs)
+    if jobs == 1 or len(distinct) == 1:
+        results = {
+            key: cached_run(kind, **kwargs)
+            for key, (kind, kwargs) in distinct.items()
+        }
+    else:
+        outputs = map_runs(list(distinct.values()), jobs)
+        results = {}
+        for (key, (kind, kwargs)), output in zip(
+            distinct.items(), outputs
+        ):
+            seed_memo(kind, kwargs, output)
+            results[key] = output
+    return [
+        InferencePoint(
+            parallelism=strategy,
+            microbatch_size=mb,
+            result=results[cache_key(*payload)],
+        )
+        for (strategy, mb), payload in zip(grid, payloads)
+    ]
 
 
 def normalize_by_best(

@@ -19,12 +19,6 @@ from repro.inferserve.config import (
     ServingConfig,
     SloConfig,
 )
-from repro.inferserve.energy import (
-    ServingSearchOutcome,
-    ServingSearchSettings,
-    ServingSetpointProbe,
-    search_serving_setpoint,
-)
 from repro.inferserve.engine import execute_serving
 from repro.inferserve.outcome import (
     EnergyReport,
@@ -75,9 +69,6 @@ __all__ = [
     "ServingMetrics",
     "ServingOutcome",
     "ServingSample",
-    "ServingSearchOutcome",
-    "ServingSearchSettings",
-    "ServingSetpointProbe",
     "SloConfig",
     "SloReport",
     "StaticRouterConfig",
@@ -88,7 +79,6 @@ __all__ = [
     "generate_trace",
     "percentile",
     "rate_from_daily_users",
-    "search_serving_setpoint",
     "serving_capacity_replicas",
     "simulate_serving_deployment",
     "simulate_static_routing",

@@ -17,9 +17,7 @@ Routers:
   slower) — the paper's proposal made concrete.
 
 The ablation benchmark compares them on tail latency and thermal
-spread. The historical spellings (``repro.inference.serving`` with
-``ServingConfig`` / ``simulate_serving``) remain importable as
-deprecation shims.
+spread.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ GOVERNORS = ("none", "static", "thermal", "straggler")
 
 #: ``energy_optimal`` is an *outer-loop* governor: a Zeus-style search
 #: over static power limits, each probe one (cached) simulation. The CLI
-#: and :mod:`repro.powerctl.search` accept it on top of the closed-loop
+#: and :mod:`repro.optimize.setpoint` accept it on top of the closed-loop
 #: set above.
 SEARCH_GOVERNORS = GOVERNORS + ("energy_optimal",)
 

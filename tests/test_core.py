@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.experiment import run_inference, run_training
+from repro.core.experiment import execute_inference, execute_training
 from repro.core.sweep import (
     SweepPoint,
-    cached_run_training,
+    cached_run,
     clear_cache,
     normalize_by_best,
     run_sweep,
@@ -19,7 +19,7 @@ FAST = SimSettings(physics_dt_s=0.01, telemetry_interval_s=0.02)
 
 class TestRunTraining:
     def test_by_name_end_to_end(self):
-        result = run_training(
+        result = execute_training(
             model="gpt3-13b",
             cluster="mi250x32",
             parallelism="TP2-PP4",
@@ -34,7 +34,7 @@ class TestRunTraining:
         assert result.stats().avg_power_w > 0
 
     def test_measured_window_excludes_warmup(self):
-        result = run_training(
+        result = execute_training(
             model="gpt3-13b",
             cluster="mi250x32",
             parallelism="TP2-PP4",
@@ -51,7 +51,7 @@ class TestRunTraining:
         )
 
     def test_breakdown_normalised_per_iteration(self):
-        result = run_training(
+        result = execute_training(
             model="gpt3-13b",
             cluster="mi250x32",
             parallelism="TP2-PP4",
@@ -66,7 +66,7 @@ class TestRunTraining:
     def test_strategy_object_accepted(self, tiny_model):
         from repro.parallelism.strategy import ParallelismConfig
 
-        result = run_training(
+        result = execute_training(
             model="gpt3-13b",
             cluster="mi250x32",
             parallelism=ParallelismConfig(tp=2, pp=2),
@@ -77,7 +77,7 @@ class TestRunTraining:
         assert result.parallelism.dp == 8
 
     def test_label(self):
-        result = run_training(
+        result = execute_training(
             model="gpt3-13b",
             cluster="mi250x32",
             parallelism="TP2-PP4",
@@ -90,7 +90,7 @@ class TestRunTraining:
 
     def test_bad_warmup_rejected(self):
         with pytest.raises(ValueError):
-            run_training(
+            execute_training(
                 model="gpt3-13b",
                 cluster="mi250x32",
                 parallelism="TP2-PP4",
@@ -104,7 +104,7 @@ class TestRunTraining:
 
 class TestRunInference:
     def test_forward_only_metrics(self):
-        result = run_inference(
+        result = execute_inference(
             model="gpt3-13b",
             cluster="mi250x32",
             parallelism="TP4-PP2",
@@ -126,8 +126,8 @@ class TestRunInference:
             global_batch_size=16,
             settings=FAST,
         )
-        train = run_training(**common)
-        infer = run_inference(**common)
+        train = execute_training(**common)
+        infer = execute_inference(**common)
         assert infer.stats().avg_power_w < train.stats().avg_power_w
 
 
@@ -141,8 +141,8 @@ class TestSweep:
             microbatch_size=1,
             global_batch_size=16,
         )
-        first = cached_run_training(**kwargs)
-        second = cached_run_training(**kwargs)
+        first = cached_run("train", **kwargs)
+        second = cached_run("train", **kwargs)
         assert first is second
 
     def test_run_sweep_covers_points(self):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.comm.collectives import broadcast, send_recv
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.engine.simulator import SimSettings
 from repro.hardware.cluster import H200_X32, MI250_X32
 from repro.hardware.topology import group_spans_nodes, nodes_of_group
@@ -48,7 +48,7 @@ class TestVizExtras:
     def test_energy_comparison_figure(self):
         from repro.viz.figures import energy_efficiency_comparison
 
-        result = run_training(
+        result = execute_training(
             model="gpt3-13b", cluster="mi250x32", parallelism="TP8-PP1",
             microbatch_size=1, global_batch_size=16, settings=FAST,
         )
@@ -86,22 +86,22 @@ class TestSimulatorSettings:
             model="gpt3-13b", cluster="mi250x32", parallelism="TP8-PP1",
             microbatch_size=1, global_batch_size=16,
         )
-        hot_run = run_training(settings=hot, **common)
-        cool_run = run_training(settings=cool, **common)
+        hot_run = execute_training(settings=hot, **common)
+        cool_run = execute_training(settings=cool, **common)
         assert (
             hot_run.outcome.telemetry.series(0).temp_c[0]
             > cool_run.outcome.telemetry.series(0).temp_c[0]
         )
 
     def test_telemetry_interval_controls_sample_count(self):
-        fine = run_training(
+        fine = execute_training(
             model="gpt3-13b", cluster="mi250x32", parallelism="TP8-PP1",
             microbatch_size=1, global_batch_size=16,
             settings=SimSettings(
                 physics_dt_s=0.01, telemetry_interval_s=0.02
             ),
         )
-        coarse = run_training(
+        coarse = execute_training(
             model="gpt3-13b", cluster="mi250x32", parallelism="TP8-PP1",
             microbatch_size=1, global_batch_size=16,
             settings=SimSettings(
@@ -139,7 +139,7 @@ class TestCollectiveEdgeCases:
 
 class TestRunResultExtras:
     def test_temperature_heatmap_shape(self):
-        result = run_training(
+        result = execute_training(
             model="gpt3-13b", cluster="mi250x32", parallelism="TP8-PP1",
             microbatch_size=1, global_batch_size=16, settings=FAST,
         )
@@ -147,7 +147,7 @@ class TestRunResultExtras:
         assert matrix.shape == (4, 8)
 
     def test_placement_defaults_to_identity(self):
-        result = run_training(
+        result = execute_training(
             model="gpt3-13b", cluster="mi250x32", parallelism="TP8-PP1",
             microbatch_size=1, global_batch_size=16, settings=FAST,
         )

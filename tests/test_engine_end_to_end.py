@@ -47,19 +47,19 @@ class TestInterleavedPipeline:
     def test_beats_plain_when_compute_dominates(self):
         """With chunky compute kernels and a bubble-bound microbatch
         count, interleaving wins (its intended regime)."""
-        from repro.core.experiment import run_training
+        from repro.core.experiment import execute_training
         from repro.engine.simulator import SimSettings
         from repro.parallelism.strategy import ParallelismConfig as PC
 
         settings = SimSettings(physics_dt_s=0.02,
                                telemetry_interval_s=0.05)
-        plain = run_training(
+        plain = execute_training(
             model="gpt3-13b", cluster="mi250x32",
             parallelism=PC(tp=2, pp=8, dp=2),
             microbatch_size=1, global_batch_size=16, iterations=1,
             warmup_iterations=0, settings=settings,
         )
-        interleaved = run_training(
+        interleaved = execute_training(
             model="gpt3-13b", cluster="mi250x32",
             parallelism=PC(tp=2, pp=8, dp=2, interleaved=True),
             microbatch_size=1, global_batch_size=16, iterations=1,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.core.faults import HEALTHY, FaultSpec, power_failure
 from repro.engine.simulator import SimSettings
 
@@ -32,7 +32,7 @@ class TestFaultSpec:
 
 class TestFaultInjection:
     def _run(self, faults=HEALTHY):
-        return run_training(
+        return execute_training(
             model="gpt3-13b",
             cluster="mi250x32",
             parallelism="TP2-PP4",

@@ -6,7 +6,6 @@ from repro.hardware.fabric import (
     FatTreeSpec,
     allreduce_seconds_at_scale,
     bisection_bandwidth,
-    build_graph,
     effective_node_bandwidth,
     fabric_for_projection,
 )
@@ -42,14 +41,6 @@ class TestSpec:
             _spec(oversubscription=0.5)
 
 
-class TestGraph:
-    def test_structure(self):
-        graph = build_graph(_spec(8, 4))
-        assert graph.number_of_nodes() == 8 + 2 + 1  # nodes, leaves, spine
-        assert graph.has_edge("node0", "leaf0")
-        assert graph.has_edge("leaf1", "spine")
-
-
 class TestBisection:
     def test_nonblocking_bisection_is_nic_limited(self):
         """At 1:1 the bisection equals half the nodes' NIC capacity."""
@@ -67,6 +58,31 @@ class TestBisection:
         spec = _spec(num_nodes=8, nodes_per_leaf=8)
         nic = INFINIBAND_100G.peak_effective_bandwidth
         assert bisection_bandwidth(spec) == pytest.approx(4 * nic)
+
+    @pytest.mark.parametrize(
+        "num_nodes,nodes_per_leaf,oversubscription,nics",
+        # Expected NICs = local sender/receiver pairs + min(up, down),
+        # where each leaf's surplus is capped at its uplink of
+        # nodes_per_leaf / oversubscription NICs.
+        [
+            # Leaves {0-3}, {4-7}, {8,9}; senders are nodes 0-4. Leaf 1
+            # pairs node 4 locally; leaf 0 has 4 surplus senders, leaves
+            # 1 and 2 have 2 surplus receivers each.
+            (10, 4, 1.0, 1 + min(4, 2 + 2)),
+            (10, 4, 2.0, 1 + min(2, 2 + 2)),
+            (10, 4, 4.0, 1 + min(1, 1 + 1)),
+            # Leaves {0,1}, {2,3}, {4}; senders are nodes 0-1, no local
+            # pairs; leaf 0 has 2 surplus senders, leaves 1 and 2 have
+            # 2 and 1 surplus receivers.
+            (5, 2, 1.0, 0 + min(2, 2 + 1)),
+        ],
+    )
+    def test_partial_last_leaf(
+        self, num_nodes, nodes_per_leaf, oversubscription, nics
+    ):
+        spec = _spec(num_nodes, nodes_per_leaf, oversubscription)
+        nic = INFINIBAND_100G.peak_effective_bandwidth
+        assert bisection_bandwidth(spec) == pytest.approx(nics * nic)
 
 
 class TestEffectiveBandwidth:

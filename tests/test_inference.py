@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.sweep import clear_cache
-from repro.inference.engine import sweep_inference
+from repro.core.sweep import clear_cache, sweep_inference
 
 
 @pytest.fixture(scope="module", autouse=True)

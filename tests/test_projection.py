@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.engine.simulator import SimSettings
 from repro.projection.scaling import (
     dp_allreduce_seconds,
@@ -16,7 +16,7 @@ FAST = SimSettings(physics_dt_s=0.01, telemetry_interval_s=0.02)
 @pytest.fixture(scope="module")
 def base_run():
     """A DP=1 measurement to project from (module-scoped: reused)."""
-    return run_training(
+    return execute_training(
         model="gpt3-13b",
         cluster="mi250x32",
         parallelism="TP8-PP4",
@@ -84,7 +84,7 @@ class TestProjection:
         )
 
     def test_requires_dp1_base(self):
-        run = run_training(
+        run = execute_training(
             model="gpt3-13b",
             cluster="mi250x32",
             parallelism="TP2-PP4",  # dp = 4 after fill

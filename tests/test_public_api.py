@@ -2,12 +2,15 @@
 
 Pins ``repro.__all__``, the :class:`SimRequest` field list, and the
 ``repro.api`` callable signatures, and statically scans ``src/`` to
-prove no internal module calls the deprecated legacy entrypoints —
-they exist solely as shims for external callers.
+prove the removed legacy entrypoints do not come back under their old
+names.
 """
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -46,8 +49,6 @@ EXPECTED_ALL = [
     "SimRequest",
     "SweepPoint",
     "TraceConfig",
-    "cached_run_inference",
-    "cached_run_training",
     "cluster_names",
     "execute_serving",
     "get_cluster",
@@ -57,10 +58,7 @@ EXPECTED_ALL = [
     "normalize_by_best",
     "one_gpu_per_node",
     "parse_strategy",
-    "run_inference",
     "run_sweep",
-    "run_training",
-    "search_serving_setpoint",
     "submit",
     "submit_many",
     "valid_configs",
@@ -98,9 +96,7 @@ LEGACY_NAMES = {
     "run_inference",
     "cached_run_training",
     "cached_run_inference",
-    # Renamed when static routing moved into repro.inferserve; the
-    # repro.inference.serving shim resolves it via a string table, so
-    # nothing in src/ references the old spelling as a real name.
+    # Renamed when static routing moved into repro.inferserve.
     "simulate_serving",
     # Renamed when the setpoint searches became the refinement stage of
     # the joint optimizer (repro.optimize, docs/optimize.md).
@@ -109,18 +105,9 @@ LEGACY_NAMES = {
     "search_serving_setpoint",
 }
 
-#: The only modules allowed to mention the legacy names: where the
-#: shims are defined and the package facades that re-export them.
-LEGACY_ALLOWLIST = {
-    SRC / "__init__.py",
-    SRC / "core" / "__init__.py",
-    SRC / "core" / "experiment.py",
-    SRC / "core" / "sweep.py",
-    SRC / "powerctl" / "__init__.py",
-    SRC / "powerctl" / "search.py",
-    SRC / "inferserve" / "__init__.py",
-    SRC / "inferserve" / "energy.py",
-}
+#: Modules exempt from the scan. Empty: no module may mention a legacy
+#: name.
+LEGACY_ALLOWLIST: set[Path] = set()
 
 
 class TestAllSnapshot:
@@ -176,7 +163,11 @@ class TestApiSignatures:
 
 
 def _modules_referencing_legacy() -> list[tuple[Path, str]]:
-    """(module, legacy name) pairs found by walking every src/ AST."""
+    """(module, legacy name) pairs found by walking every src/ AST.
+
+    Flags uses, imports, definitions, and string mentions (``__all__``
+    entries, ``__getattr__`` string tables) of a legacy name.
+    """
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         if path in LEGACY_ALLOWLIST:
@@ -194,6 +185,15 @@ def _modules_referencing_legacy() -> list[tuple[Path, str]]:
                 for alias in node.names:
                     if alias.name.split(".")[-1] in LEGACY_NAMES:
                         found = alias.name
+            elif isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and node.name in LEGACY_NAMES:
+                found = node.name
+            elif isinstance(node, ast.Constant) and (
+                node.value in LEGACY_NAMES
+            ):
+                # __all__ entries and string-table lazy re-exports.
+                found = node.value
             if found:
                 offenders.append((path.relative_to(SRC), found))
     return offenders
@@ -203,42 +203,22 @@ class TestNoInternalLegacyUse:
     def test_src_does_not_call_deprecated_entrypoints(self):
         offenders = _modules_referencing_legacy()
         assert offenders == [], (
-            "internal modules must use repro.api, not the deprecation "
-            f"shims: {offenders}"
+            "the legacy entrypoints were removed; use repro.api or the "
+            f"canonical functions (docs/api.md): {offenders}"
         )
 
-    def test_shims_still_live_in_allowlisted_modules(self):
-        # Guards the allowlist itself from going stale: the shims are
-        # still defined where the scan expects them.
-        from repro.core import experiment, sweep
 
-        assert experiment.run_training.__module__ == (
-            "repro.core.experiment"
+class TestCleanInstall:
+    def test_imports_without_networkx(self):
+        # pyproject.toml declares only numpy, so repro must import on a
+        # machine that has no networkx.
+        code = 'import sys; sys.modules["networkx"] = None; import repro'
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
         )
-        assert sweep.cached_run_training.__module__ == (
-            "repro.core.sweep"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
         )
-
-    def test_serving_shim_resolves_with_warning(self):
-        import sys
-        import warnings
-
-        from repro import api
-
-        sys.modules.pop("repro.inference.serving", None)
-        api._reset_deprecation_warnings()
-        from repro.inference import serving as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config_cls = shim.ServingConfig
-        from repro.inferserve import StaticRouterConfig
-
-        assert config_cls is StaticRouterConfig
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        # Same object through the package facade.
-        import repro.inference as inference
-
-        assert inference.simulate_serving is shim.simulate_serving
+        assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.core.experiment import run_training
+from repro.core.experiment import execute_training
 from repro.engine.simulator import SimSettings
 from repro.viz.charts import (
     ChartSpec,
@@ -41,7 +41,7 @@ def _parse(svg: str) -> ET.Element:
 
 @pytest.fixture(scope="module")
 def result():
-    return run_training(
+    return execute_training(
         model="gpt3-13b",
         cluster="mi250x32",
         parallelism="TP2-PP4",
