@@ -33,11 +33,9 @@ validation, serialisation, and digest idioms, accepted by
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Iterable, Mapping
+import functools
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterable
 
 from repro.core.experiment import (
     DEFAULT_GLOBAL_BATCH,
@@ -47,15 +45,19 @@ from repro.core.experiment import (
 from repro.core.faults import FaultEvent, FaultKind, FaultSpec, FaultTimeline
 from repro.core.results import RunResult
 from repro.engine.simulator import SimSettings
-from repro.hardware.cluster import get_cluster
-from repro.models.catalog import get_model
+from repro.envelope import Envelope, _require, flag
 from repro.optimize.request import OptimizeRequest, OptimizeResult
-from repro.parallelism.strategy import OptimizationConfig, parse_strategy
+from repro.parallelism.strategy import (
+    OptimizationConfig,
+    ParallelismConfig,
+    parse_strategy,
+)
 from repro.powerctl.config import (
     GOVERNORS,
     NO_POWER_CONTROL,
     PowerControlConfig,
 )
+from repro.schedules import canonical_schedule_name, get_schedule_class
 from repro.suggest import normalize_name, unknown_name_message
 
 __all__ = [
@@ -70,12 +72,6 @@ __all__ = [
 #: Request kinds the schema covers. A sweep is ``submit_many`` over a
 #: grid of ``training``/``inference``/``serving`` requests.
 KINDS = ("training", "inference", "fleet", "serving")
-
-_KIND_ALIASES = {
-    "train": "training",
-    "infer": "inference",
-    "serve": "serving",
-}
 
 #: Keys accepted in :attr:`SimRequest.fleet` (mirroring the
 #: ``repro fleet`` CLI surface; see :meth:`SimRequest.to_fleet_config`).
@@ -101,13 +97,17 @@ _DEFAULT_FAULT_DURATION_S = 5.0
 _DEFAULT_FAULT_POWER_SCALE = 0.25
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
+@functools.lru_cache(maxsize=256)
+def _filled_strategy(parallelism: str, total_gpus: int) -> ParallelismConfig:
+    """The strategy with dp filled as execution fills it, so one that
+    does not tile the cluster fails at construction, the same way
+    wherever the request would run. Cached: a sweep validates the same
+    strategy for every point."""
+    return parse_strategy(parallelism).fill_dp(total_gpus)
 
 
 @dataclass(frozen=True)
-class SimRequest:
+class SimRequest(Envelope):
     """One typed simulation request covering all four kinds
     (training, inference, serving, or fleet).
 
@@ -146,7 +146,8 @@ class SimRequest:
         seq_splits: sequence splits per microbatch, for schedules that
             support them; ``None`` uses the schedule's default.
         timeout_s: per-request wall-clock budget, honoured by the
-            broker (the synchronous :func:`submit` ignores it).
+            broker (the synchronous :func:`submit` ignores it); not
+            part of the digest.
         fleet: fleet-job parameters (keys from :data:`FLEET_KEYS`);
             only valid — and only meaningful — when ``kind="fleet"``.
         serving: serving-deployment parameters (the
@@ -157,39 +158,38 @@ class SimRequest:
     """
 
     kind: str = "training"
-    model: str = ""
-    cluster: str = ""
-    parallelism: str = ""
+    model: str = flag("--model", "")
+    cluster: str = flag("--cluster", "")
+    parallelism: str = flag("--parallelism", "")
     optimizations: OptimizationConfig = field(
         default_factory=OptimizationConfig
     )
-    microbatch_size: int = 1
-    global_batch_size: int = DEFAULT_GLOBAL_BATCH
-    iterations: int = 2
+    microbatch_size: int = flag("--microbatch", 1)
+    global_batch_size: int = flag("--global-batch", DEFAULT_GLOBAL_BATCH)
+    iterations: int = flag("--iterations", 2)
     warmup_iterations: int = 1
-    governor: str = "none"
-    freq_setpoint: float = 1.0
-    power_limit_w: float | None = None
-    fault_node: int | None = None
-    fault_power_scale: float | None = None
-    fault_time: float | None = None
-    fault_duration: float | None = None
-    fault_kind: str | None = None
-    fault_severity: float | None = None
+    governor: str = flag("--governor", "none")
+    freq_setpoint: float = flag("--freq-setpoint", 1.0)
+    power_limit_w: float | None = flag("--power-limit-w", None)
+    fault_node: int | None = flag("--fault-node", None)
+    fault_power_scale: float | None = flag("--fault-power-scale", None)
+    fault_time: float | None = flag("--fault-time", None)
+    fault_duration: float | None = flag("--fault-duration", None)
+    fault_kind: str | None = flag("--fault-kind", None)
+    fault_severity: float | None = flag("--fault-severity", None)
     timeout_s: float | None = None
     fleet: dict | None = None
     serving: Any = None
-    pipeline_schedule: str = "1f1b"
-    seq_splits: int | None = None
+    pipeline_schedule: str = flag("--pipeline-schedule", "1f1b")
+    seq_splits: int | None = flag("--seq-splits", None)
+
+    _kinds = KINDS
 
     # -- validation -----------------------------------------------------
 
     def __post_init__(self) -> None:
-        kind = normalize_name(str(self.kind))
-        kind = _KIND_ALIASES.get(kind, kind)
-        if kind not in KINDS:
-            raise ValueError(unknown_name_message("request kind", self.kind, KINDS))
-        object.__setattr__(self, "kind", kind)
+        super().__post_init__()
+        kind = self.kind
         if kind != "serving":
             _require(self.serving is None,
                      "serving parameters require kind='serving'")
@@ -218,32 +218,19 @@ class SimRequest:
             self._validate_workload()
         self._validate_power()
         self._validate_faults()
-        if self.timeout_s is not None:
-            _require(self.timeout_s > 0,
-                     f"timeout_s must be > 0, got {self.timeout_s:g}")
 
     def _validate_workload(self) -> None:
-        _require(bool(self.model), f"{self.kind} requests require a model")
-        _require(bool(self.cluster),
-                 f"{self.kind} requests require a cluster")
+        cluster = self._check_catalog(self.kind)
         _require(bool(self.parallelism),
                  f"{self.kind} requests require a parallelism strategy")
-        try:
-            get_model(self.model)
-        except KeyError as error:
-            raise ValueError(error.args[0]) from None
-        try:
-            cluster = get_cluster(self.cluster)
-        except KeyError as error:
-            raise ValueError(error.args[0]) from None
-        strategy = parse_strategy(self.parallelism)
+        strategy = _filled_strategy(self.parallelism, cluster.total_gpus)
         _require(isinstance(self.optimizations, OptimizationConfig),
                  "optimizations must be an OptimizationConfig")
         for name in ("microbatch_size", "global_batch_size", "iterations"):
             value = getattr(self, name)
-            _require(isinstance(value, int) and value >= 1,
+            _require(value >= 1,
                      f"{name} must be an integer >= 1, got {value!r}")
-        self._validate_schedule(strategy, cluster)
+        self._validate_schedule(strategy)
         _require(0 <= self.warmup_iterations < self.iterations,
                  f"warmup_iterations must be in [0, iterations), got "
                  f"{self.warmup_iterations!r}")
@@ -259,33 +246,28 @@ class SimRequest:
                     + f" (cluster {self.cluster!r} has {num_nodes} nodes)"
                 )
 
-    def _validate_schedule(self, strategy, cluster) -> None:
+    def _validate_schedule(self, strategy) -> None:
         """Normalise the schedule name and check its constraints early.
 
-        Errors are spelled in the request's own vocabulary
-        (``--pipeline-schedule``, ``--global-batch-size``, ...) so a
-        bad combination fails at construction with an actionable
-        message instead of a builder-internal one at run time.
+        ``strategy`` is the dp-filled plan. Errors name request fields
+        (the CLI rewrites them to its flags), so a bad combination
+        fails at construction with an actionable message instead of a
+        builder-internal one at run time.
         """
-        from repro.schedules import (
-            canonical_schedule_name,
-            get_schedule_class,
-        )
-
         canonical = canonical_schedule_name(self.pipeline_schedule)
         object.__setattr__(self, "pipeline_schedule", canonical)
         schedule_cls = get_schedule_class(canonical)
         if self.seq_splits is not None:
             _require(
-                isinstance(self.seq_splits, int) and self.seq_splits >= 1,
+                self.seq_splits >= 1,
                 f"seq_splits must be an integer >= 1, got "
                 f"{self.seq_splits!r}",
             )
             if self.seq_splits > 1 and not schedule_cls.supports_seq_splits:
                 raise ValueError(
                     f"the {canonical!r} schedule does not split "
-                    f"sequences; --seq-splits {self.seq_splits} needs a "
-                    "sequence-split schedule such as --pipeline-schedule "
+                    f"sequences; seq_splits {self.seq_splits} needs a "
+                    "sequence-split schedule such as pipeline_schedule "
                     "seq1f1b"
                 )
         if canonical != "interleaved":
@@ -293,47 +275,31 @@ class SimRequest:
         pp = strategy.pp
         _require(
             pp > 1,
-            "--pipeline-schedule interleaved needs a pipelined strategy "
+            "pipeline_schedule interleaved needs a pipelined strategy "
             f"(pp >= 2); {self.parallelism!r} has pp={pp}",
         )
-        # Resolve dp the same way execution will, to check Megatron's
-        # microbatch-divisibility constraint before any graph is built.
-        try:
-            filled = strategy.fill_dp(cluster.total_gpus)
-        except ValueError:
-            return  # the strategy itself is the problem; reported there
-        shards = filled.dp * self.microbatch_size
+        # Megatron's microbatch-divisibility constraint, checked before
+        # any graph is built.
+        shards = strategy.dp * self.microbatch_size
         if self.global_batch_size % shards == 0:
             num_microbatches = self.global_batch_size // shards
             if num_microbatches % pp:
                 raise ValueError(
                     "interleaved schedule requires num_microbatches to "
-                    f"be a multiple of num_stages: --global-batch-size "
-                    f"{self.global_batch_size} with --microbatch-size "
-                    f"{self.microbatch_size} and dp={filled.dp} gives "
+                    f"be a multiple of num_stages: global_batch_size "
+                    f"{self.global_batch_size} with microbatch_size "
+                    f"{self.microbatch_size} and dp={strategy.dp} gives "
                     f"{num_microbatches} microbatches, not a multiple "
-                    f"of pp={pp}; adjust --global-batch-size or pick "
-                    "--pipeline-schedule 1f1b"
+                    f"of pp={pp}; adjust global_batch_size or pick "
+                    "pipeline_schedule 1f1b"
                 )
 
     def _validate_serving(self) -> None:
-        from repro.inferserve.config import ServingConfig
-
-        _require(bool(self.model), "serving requests require a model")
-        _require(bool(self.cluster),
-                 "serving requests require a cluster")
+        self._check_catalog("serving")
         _require(not self.parallelism,
                  "serving requests take no parallelism strategy; "
                  "replica width is serving={'batcher': "
                  "{'gpus_per_replica': ...}}")
-        try:
-            get_model(self.model)
-        except KeyError as error:
-            raise ValueError(error.args[0]) from None
-        try:
-            get_cluster(self.cluster)
-        except KeyError as error:
-            raise ValueError(error.args[0]) from None
         _require(self.governor == "none" and self.power_limit_w is None,
                  "serving power management is freq_setpoint only; "
                  "governors and power caps apply to training and "
@@ -341,28 +307,14 @@ class SimRequest:
         _require(self.fault_node is None and self.fault_time is None,
                  "fault injection applies to training and inference "
                  "requests")
-        payload = self.serving
-        if payload is None:
-            payload = {}
-        if isinstance(payload, ServingConfig):
-            config = payload
-        elif isinstance(payload, Mapping):
-            try:
-                config = ServingConfig.from_dict(payload)
-            except (TypeError, ValueError) as error:
-                raise ValueError(f"serving: {error}") from None
-        else:
-            raise ValueError(
-                "serving parameters must be a mapping or a "
-                "ServingConfig"
-            )
+        config = self._serving_config()
         if self.freq_setpoint != 1.0:
             _require(
                 config.freq_setpoint in (1.0, self.freq_setpoint),
                 "freq_setpoint given twice (request field and "
                 "serving['freq_setpoint']) with different values",
             )
-            config = dataclasses.replace(
+            config = replace(
                 config, freq_setpoint=self.freq_setpoint
             )
         object.__setattr__(self, "serving", config.to_dict())
@@ -609,71 +561,10 @@ class SimRequest:
             power_control=control,
         )
 
-    # -- serialisation --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Plain JSON-serialisable dict; inverse of :meth:`from_dict`."""
-        data: dict = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name == "optimizations":
-                value = dataclasses.asdict(value)
-            elif spec.name in ("fleet", "serving") and value is not None:
-                value = dict(value)
-            data[spec.name] = value
-        return data
-
-    def to_json(self) -> str:
-        """Canonical JSON form (sorted keys; digest input)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SimRequest":
-        """Rebuild a request, rejecting unknown keys with did-you-mean."""
-        known = {spec.name for spec in fields(cls)}
-        kwargs: dict = {}
-        for key, value in dict(data).items():
-            if key not in known:
-                raise ValueError(
-                    unknown_name_message(
-                        "request field", key, sorted(known)
-                    )
-                )
-            kwargs[key] = value
-        opts = kwargs.get("optimizations")
-        if isinstance(opts, Mapping):
-            opt_fields = {spec.name for spec in fields(OptimizationConfig)}
-            for key in opts:
-                if key not in opt_fields:
-                    raise ValueError(
-                        "optimizations: "
-                        + unknown_name_message(
-                            "optimization field", key, sorted(opt_fields)
-                        )
-                    )
-            kwargs["optimizations"] = OptimizationConfig(**dict(opts))
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimRequest":
-        """Inverse of :meth:`to_json`."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"invalid request JSON: {error}") from None
-        if not isinstance(data, dict):
-            raise ValueError("request JSON must be an object")
-        return cls.from_dict(data)
-
     def digest(self) -> str:
-        """Stable identity hash; for cacheable kinds this is exactly
-        the result-store address :func:`repro.core.sweep.cached_run`
-        writes to, so a digest match *is* a cache hit."""
-        if self.cacheable:
-            from repro.core.sweep import cache_key, key_digest
-
-            return key_digest(cache_key(*self.to_run_payload()))
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        """Stable identity hash (see
+        :meth:`repro.envelope.Envelope.digest`)."""
+        return super().digest()
 
 
 def submit(request: SimRequest | OptimizeRequest, *, cache: bool = True):

@@ -64,12 +64,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from repro.api import SimRequest, submit, submit_many
+from repro.api import OptimizeRequest, SimRequest, submit, submit_many
 from repro.core.artifact import run_summary, write_run_artifact
 from repro.engine.simulator import SimSettings
 from repro.hardware.cluster import cluster_names, get_cluster
@@ -77,42 +78,21 @@ from repro.models.catalog import get_model, model_names
 from repro.parallelism.enumerate import ConfigSearchSpace, valid_configs
 from repro.parallelism.strategy import OptimizationConfig
 
-#: SimRequest field names -> the CLI spelling, so validation errors from
-#: :mod:`repro.api` read as flag errors (longest names first, so e.g.
-#: ``fault_power_scale`` is not half-rewritten by ``fault_power``).
-_FLAG_SPELLINGS = (
-    ("max_ttft_regression", "--max-ttft-regression"),
-    ("setpoint_tolerance", "--tolerance"),
-    ("fault_power_scale", "--fault-power-scale"),
-    ("pipeline_schedule", "--pipeline-schedule"),
-    ("global_batch_size", "--global-batch"),
-    ("gpus_per_replica", "--gpus-per-replica"),
-    ("microbatch_sizes", "--microbatch"),
-    ("microbatch_size", "--microbatch"),
-    ("max_slowdown", "--max-slowdown"),
-    ("setpoint_lo", "--lo"),
-    ("setpoint_hi", "--hi"),
-    ("power_cap_w", "--power-cap-w"),
-    ("beam_width", "--beam-width"),
-    ("refine_top", "--refine-top"),
-    ("allow_fsdp", "--allow-fsdp"),
-    ("fault_duration", "--fault-duration"),
-    ("fault_severity", "--fault-severity"),
-    ("freq_setpoint", "--freq-setpoint"),
-    ("power_limit_w", "--power-limit-w"),
-    ("fault_kind", "--fault-kind"),
-    ("fault_node", "--fault-node"),
-    ("fault_time", "--fault-time"),
-    ("timeout_s", "--timeout-s"),
-    ("seq_splits", "--seq-splits"),
-)
-
-
 def _flagify(message: str) -> str:
-    """Rewrite request-field names in an error to their flag spellings."""
-    for field_name, flag in _FLAG_SPELLINGS:
-        message = message.replace(field_name, flag)
-    return message
+    """Rewrite the snake_case request-field names in an error to the
+    flags that set them (``microbatch_size`` -> ``--microbatch``), so
+    validation errors from the request schemas read as flag errors."""
+    flags = {
+        spec.name: spec.metadata["flag"]
+        for cls in (SimRequest, OptimizeRequest)
+        for spec in fields(cls)
+        if "flag" in spec.metadata and "_" in spec.name
+    }
+    return re.sub(
+        r"\b(" + "|".join(flags) + r")\b",
+        lambda match: flags[match.group(1)],
+        message,
+    )
 
 
 def _emit_json(payload) -> None:
@@ -205,39 +185,34 @@ def _opts_from(args: argparse.Namespace) -> OptimizationConfig:
     )
 
 
-def _request_from_args(args: argparse.Namespace) -> SimRequest:
-    """One run-style flag namespace -> the typed request it describes.
+def _request_from(cls, args: argparse.Namespace, **overrides):
+    """The ``cls`` request a flag namespace describes.
 
-    Validation (names, flag-group consistency, node ranges) happens in
-    :class:`SimRequest` itself; :func:`main` rewrites field names back
-    to flag spellings in any error.
+    Every field declaring a ``flag`` takes its parsed value (argparse
+    dest: the flag in snake_case); an absent or ``None`` value keeps the
+    field default, and ``overrides`` win. Validation stays in the
+    request; :func:`main` rewrites field names in its errors to flags.
     """
-    node = getattr(args, "fault_node", None)
-    if node is None:
-        node = getattr(args, "fail_node", None)
-    return SimRequest(
-        kind="training",
-        model=args.model,
-        cluster=args.cluster,
-        parallelism=args.parallelism,
+    kwargs = {}
+    for spec in fields(cls):
+        if "flag" in spec.metadata:
+            dest = spec.metadata["flag"].lstrip("-").replace("-", "_")
+            value = getattr(args, dest, None)
+            if value is not None:
+                kwargs[spec.name] = value
+    kwargs.update(overrides)
+    return cls(**kwargs)
+
+
+def _run_overrides(args: argparse.Namespace) -> dict:
+    """Run-request fields the flags spell indirectly: the optimization
+    toggles, and ``--fail-node`` (an alias of ``--fault-node``, whose
+    power scale applies only when a node is faulted)."""
+    node = args.fault_node if args.fault_node is not None else args.fail_node
+    return dict(
         optimizations=_opts_from(args),
-        microbatch_size=args.microbatch,
-        global_batch_size=args.global_batch,
-        iterations=args.iterations,
-        governor=getattr(args, "governor", "none"),
-        freq_setpoint=getattr(args, "freq_setpoint", 1.0),
-        power_limit_w=getattr(args, "power_limit_w", None),
         fault_node=node,
-        fault_power_scale=(
-            getattr(args, "fault_power_scale", None)
-            if node is not None else None
-        ),
-        fault_time=getattr(args, "fault_time", None),
-        fault_duration=getattr(args, "fault_duration", None),
-        fault_kind=getattr(args, "fault_kind", None),
-        fault_severity=getattr(args, "fault_severity", None),
-        pipeline_schedule=getattr(args, "pipeline_schedule", "1f1b"),
-        seq_splits=getattr(args, "seq_splits", None),
+        fault_power_scale=args.fault_power_scale if node is not None else None,
     )
 
 
@@ -340,7 +315,7 @@ def cmd_configs(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one experiment; optionally write an artifact directory."""
-    request = _request_from_args(args)
+    request = _request_from(SimRequest, args, **_run_overrides(args))
     result = submit(request)
     fault_warning = None
     if request.fault_time is not None and \
@@ -380,15 +355,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     opts = _opts_from(args)
     schedules = getattr(args, "pipeline_schedule", None) or ["1f1b"]
     requests = [
-        SimRequest(
-            kind="training",
-            model=args.model,
-            cluster=args.cluster,
+        _request_from(
+            SimRequest, args,
             parallelism=strategy,
             optimizations=opts,
             microbatch_size=microbatch,
-            global_batch_size=args.global_batch,
-            iterations=args.iterations,
             pipeline_schedule=schedule,
         )
         for strategy in args.parallelism
@@ -480,7 +451,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         throughput_comparison,
     )
 
-    result = submit(_request_from_args(args))
+    result = submit(_request_from(SimRequest, args, **_run_overrides(args)))
     output = Path(args.output)
     label = result.parallelism.name
     throughput_comparison({label: result}, path=output / "throughput.svg")
@@ -728,40 +699,13 @@ def cmd_powerctl_search(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     """Joint configuration auto-search (docs/optimize.md)."""
-    from repro.api import OptimizeRequest
     from repro.core.parallel import resolve_jobs
     from repro.optimize import run_optimize
 
-    serving = None
-    if args.serving is not None:
-        serving = json.loads(args.serving)
-    request = OptimizeRequest(
-        kind=args.kind,
-        model=args.model,
-        cluster=args.cluster,
-        objective=args.objective,
-        max_slowdown=(
-            None if args.max_slowdown < 0 else args.max_slowdown
-        ),
-        max_ttft_regression=args.max_ttft_regression,
-        power_cap_w=args.power_cap_w,
-        global_batch_size=args.global_batch,
-        iterations=args.iterations,
-        microbatch_sizes=tuple(args.microbatch),
-        schedules=tuple(args.schedule) if args.schedule else None,
-        parallelisms=(
-            tuple(args.parallelism) if args.parallelism else None
-        ),
-        allow_fsdp=args.allow_fsdp,
-        beam_width=args.beam_width,
-        refine_top=args.refine_top,
-        setpoint_lo=args.lo,
-        setpoint_hi=args.hi,
-        setpoint_tolerance=args.tolerance,
-        replicas=tuple(args.replicas or ()),
-        gpus_per_replica=tuple(args.gpus_per_replica or ()),
-        serving=serving,
-        timeout_s=args.timeout_s,
+    request = _request_from(
+        OptimizeRequest, args,
+        max_slowdown=None if args.max_slowdown < 0 else args.max_slowdown,
+        serving=None if args.serving is None else json.loads(args.serving),
     )
     jobs = 1 if args.jobs == 1 else resolve_jobs(args.jobs)
     result = run_optimize(request, jobs=jobs)
@@ -917,12 +861,8 @@ def _write_serving_artifacts(outcome, output: str) -> dict:
 
 def cmd_inferserve_run(args: argparse.Namespace) -> int:
     """Simulate one serving deployment and print its headline metrics."""
-    request = SimRequest(
-        kind="serving",
-        model=args.model,
-        cluster=args.cluster,
-        freq_setpoint=args.freq_setpoint,
-        serving=_serving_dict_from(args),
+    request = _request_from(
+        SimRequest, args, kind="serving", serving=_serving_dict_from(args)
     )
     outcome = submit(request)
     artifacts = {}
@@ -945,13 +885,8 @@ def cmd_inferserve_sweep(args: argparse.Namespace) -> int:
     """Sweep DVFS setpoints (optionally refine with the golden search)."""
     serving = _serving_dict_from(args)
     requests = [
-        SimRequest(
-            kind="serving",
-            model=args.model,
-            cluster=args.cluster,
-            freq_setpoint=setpoint,
-            serving=serving,
-        )
+        _request_from(SimRequest, args, kind="serving",
+                      freq_setpoint=setpoint, serving=serving)
         for setpoint in args.setpoint
     ]
     outcomes = submit_many(requests, jobs=args.jobs)

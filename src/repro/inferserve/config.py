@@ -9,9 +9,10 @@ autoscaler, and the DVFS setpoint. It is the payload behind
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.envelope import _require, decode
 from repro.inferserve.traces import TraceConfig
 from repro.suggest import normalize_name, unknown_name_message
 
@@ -27,22 +28,6 @@ __all__ = [
 #: join and leave the running batch every decode step) vs. the
 #: run-to-completion baseline (a batch admits once and drains fully).
 SCHEDULERS = ("continuous", "run_to_completion")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _from_mapping(cls, data: Mapping[str, Any], label: str):
-    known = {spec.name for spec in fields(cls)}
-    for key in data:
-        if key not in known:
-            raise ValueError(
-                f"{label}: "
-                + unknown_name_message(f"{label} field", key, sorted(known))
-            )
-    return cls(**dict(data))
 
 
 @dataclass(frozen=True)
@@ -208,27 +193,5 @@ class ServingConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServingConfig":
-        known = {spec.name for spec in fields(cls)}
-        kwargs: dict = {}
-        for key, value in dict(data).items():
-            if key not in known:
-                raise ValueError(
-                    "serving: "
-                    + unknown_name_message(
-                        "serving field", key, sorted(known)
-                    )
-                )
-            kwargs[key] = value
-        if isinstance(kwargs.get("trace"), Mapping):
-            kwargs["trace"] = TraceConfig.from_dict(kwargs["trace"])
-        if isinstance(kwargs.get("batcher"), Mapping):
-            kwargs["batcher"] = _from_mapping(
-                BatcherConfig, kwargs["batcher"], "batcher"
-            )
-        if isinstance(kwargs.get("slo"), Mapping):
-            kwargs["slo"] = _from_mapping(SloConfig, kwargs["slo"], "slo")
-        if isinstance(kwargs.get("autoscale"), Mapping):
-            kwargs["autoscale"] = _from_mapping(
-                AutoscaleConfig, kwargs["autoscale"], "autoscale"
-            )
-        return cls(**kwargs)
+        """Inverse of :meth:`to_dict` (strict; nested sections too)."""
+        return decode(cls, data, "serving")

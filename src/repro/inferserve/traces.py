@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, fields
 from typing import Any, Iterator, Mapping
 
+from repro.envelope import _require, decode
 from repro.suggest import normalize_name, unknown_name_message
 
 __all__ = [
@@ -48,11 +49,6 @@ def rate_from_daily_users(
     if daily_users <= 0 or requests_per_user <= 0:
         raise ValueError("user and request counts must be positive")
     return daily_users * requests_per_user / SECONDS_PER_DAY
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -112,14 +108,8 @@ class TraceConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceConfig":
-        known = {spec.name for spec in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise ValueError(
-                    "trace: "
-                    + unknown_name_message("trace field", key, sorted(known))
-                )
-        return cls(**dict(data))
+        """Inverse of :meth:`to_dict` (strict)."""
+        return decode(cls, data, "trace")
 
 
 @dataclass(frozen=True)

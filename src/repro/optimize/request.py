@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, fields
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping
 
-from repro.hardware.cluster import get_cluster
-from repro.models.catalog import get_model
+from repro.envelope import Envelope, _require, flag
 from repro.optimize.objective import Objective, parse_objective
 from repro.parallelism.strategy import parse_strategy
-from repro.suggest import normalize_name, unknown_name_message
 
 __all__ = [
     "OPTIMIZE_KINDS",
@@ -39,34 +37,19 @@ __all__ = [
 #: Search kinds the schema covers (serving adds the replica axes).
 OPTIMIZE_KINDS = ("training", "serving")
 
-_KIND_ALIASES = {"train": "training", "serve": "serving"}
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
 
 def _int_tuple(name: str, values: Any, minimum: int = 1) -> tuple[int, ...]:
-    try:
-        items = tuple(values)
-    except TypeError:
-        raise ValueError(
-            f"{name} must be a sequence of integers, got {values!r}"
-        ) from None
-    out = []
-    for item in items:
+    for item in values:
         _require(
             isinstance(item, int) and not isinstance(item, bool)
             and item >= minimum,
             f"{name} entries must be integers >= {minimum}, got {item!r}",
         )
-        out.append(item)
-    return tuple(dict.fromkeys(sorted(out)))
+    return tuple(dict.fromkeys(sorted(values)))
 
 
 @dataclass(frozen=True)
-class OptimizeRequest:
+class OptimizeRequest(Envelope):
     """One joint auto-search request.
 
     Attributes:
@@ -104,55 +87,40 @@ class OptimizeRequest:
         serving: base serving deployment (``ServingConfig`` dict form),
             serving searches only.
         timeout_s: per-request wall-clock budget, honoured by the
-            broker.
+            broker; not part of the digest.
     """
 
-    kind: str = "training"
-    model: str = ""
-    cluster: str = ""
-    objective: str = "energy_delay"
-    max_slowdown: float | None = 0.05
-    max_ttft_regression: float = 0.05
-    power_cap_w: float | None = None
-    global_batch_size: int = 32
-    iterations: int = 2
-    microbatch_sizes: tuple[int, ...] = (1, 2, 4)
-    schedules: tuple[str, ...] | None = None
-    parallelisms: tuple[str, ...] | None = None
-    allow_fsdp: bool = False
-    beam_width: int = 4
-    refine_top: int = 2
-    setpoint_lo: float = 0.55
-    setpoint_hi: float = 1.0
-    setpoint_tolerance: float = 0.03
-    replicas: tuple[int, ...] = ()
-    gpus_per_replica: tuple[int, ...] = ()
+    kind: str = flag("--kind", "training")
+    model: str = flag("--model", "")
+    cluster: str = flag("--cluster", "")
+    objective: str = flag("--objective", "energy_delay")
+    max_slowdown: float | None = flag("--max-slowdown", 0.05)
+    max_ttft_regression: float = flag("--max-ttft-regression", 0.05)
+    power_cap_w: float | None = flag("--power-cap-w", None)
+    global_batch_size: int = flag("--global-batch", 32)
+    iterations: int = flag("--iterations", 2)
+    microbatch_sizes: tuple[int, ...] = flag("--microbatch", (1, 2, 4))
+    schedules: tuple[str, ...] | None = flag("--schedule", None)
+    parallelisms: tuple[str, ...] | None = flag("--parallelism", None)
+    allow_fsdp: bool = flag("--allow-fsdp", False)
+    beam_width: int = flag("--beam-width", 4)
+    refine_top: int = flag("--refine-top", 2)
+    setpoint_lo: float = flag("--lo", 0.55)
+    setpoint_hi: float = flag("--hi", 1.0)
+    setpoint_tolerance: float = flag("--tolerance", 0.03)
+    replicas: tuple[int, ...] = flag("--replicas", ())
+    gpus_per_replica: tuple[int, ...] = flag("--gpus-per-replica", ())
     serving: Any = None
-    timeout_s: float | None = None
+    timeout_s: float | None = flag("--timeout-s", None)
+
+    _kinds = OPTIMIZE_KINDS
+    _noun = "optimize"
 
     # -- validation -----------------------------------------------------
 
     def __post_init__(self) -> None:
-        kind = normalize_name(str(self.kind))
-        kind = _KIND_ALIASES.get(kind, kind)
-        if kind not in OPTIMIZE_KINDS:
-            raise ValueError(
-                unknown_name_message(
-                    "optimize kind", self.kind, OPTIMIZE_KINDS
-                )
-            )
-        object.__setattr__(self, "kind", kind)
-        _require(bool(self.model), "optimize requests require a model")
-        _require(bool(self.cluster),
-                 "optimize requests require a cluster")
-        try:
-            get_model(self.model)
-        except KeyError as error:
-            raise ValueError(error.args[0]) from None
-        try:
-            cluster = get_cluster(self.cluster)
-        except KeyError as error:
-            raise ValueError(error.args[0]) from None
+        super().__post_init__()
+        cluster = self._check_catalog("optimize")
         self._validate_objective()
         self._validate_bounds()
         if self.kind == "serving":
@@ -161,9 +129,11 @@ class OptimizeRequest:
             _require(self.serving is None,
                      "serving parameters require kind='serving'")
             _require(
-                self.replicas == () and self.gpus_per_replica == (),
+                not self.replicas and not self.gpus_per_replica,
                 "replicas/gpus_per_replica apply to serving searches",
             )
+            object.__setattr__(self, "replicas", ())
+            object.__setattr__(self, "gpus_per_replica", ())
             self._validate_grid(cluster)
 
     def _validate_objective(self) -> None:
@@ -200,7 +170,7 @@ class OptimizeRequest:
         for name in ("global_batch_size", "iterations",
                      "beam_width", "refine_top"):
             value = getattr(self, name)
-            _require(isinstance(value, int) and value >= 1,
+            _require(value >= 1,
                      f"{name} must be an integer >= 1, got {value!r}")
         _require(
             0.0 < self.setpoint_lo < self.setpoint_hi <= 1.0,
@@ -210,9 +180,6 @@ class OptimizeRequest:
         _require(self.setpoint_tolerance > 0,
                  f"setpoint_tolerance must be > 0, got "
                  f"{self.setpoint_tolerance:g}")
-        if self.timeout_s is not None:
-            _require(self.timeout_s > 0,
-                     f"timeout_s must be > 0, got {self.timeout_s:g}")
 
     def _validate_grid(self, cluster) -> None:
         object.__setattr__(
@@ -246,22 +213,7 @@ class OptimizeRequest:
             )
 
     def _validate_serving(self) -> None:
-        from repro.inferserve.config import ServingConfig
-
-        payload = self.serving
-        if payload is None:
-            payload = {}
-        if isinstance(payload, ServingConfig):
-            config = payload
-        elif isinstance(payload, Mapping):
-            try:
-                config = ServingConfig.from_dict(payload)
-            except (TypeError, ValueError) as error:
-                raise ValueError(f"serving: {error}") from None
-        else:
-            raise ValueError(
-                "serving parameters must be a mapping or a ServingConfig"
-            )
+        config = self._serving_config()
         object.__setattr__(self, "serving", config.to_dict())
         replicas = _int_tuple("replicas", self.replicas)
         gpus = _int_tuple("gpus_per_replica", self.gpus_per_replica)
@@ -284,11 +236,6 @@ class OptimizeRequest:
     # -- derived --------------------------------------------------------
 
     @property
-    def cacheable(self) -> bool:
-        """Optimize results land in the content-addressed store."""
-        return True
-
-    @property
     def label(self) -> str:
         """Compact human-readable identity for logs and progress."""
         return (
@@ -305,63 +252,17 @@ class OptimizeRequest:
 
         The whole request rides in one ``request`` kwarg (its canonical
         dict form), so the search result is content-addressed by every
-        knob that can change it.
+        knob that can change it — and by nothing else: ``timeout_s``
+        is normalised to ``None``.
         """
-        return ("optimize", {"request": self.to_dict()})
-
-    # -- serialisation --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Plain JSON-serialisable dict; inverse of :meth:`from_dict`."""
-        data: dict = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            elif spec.name == "serving" and value is not None:
-                value = dict(value)
-            data[spec.name] = value
-        return data
-
-    def to_json(self) -> str:
-        """Canonical JSON form (sorted keys; digest input)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OptimizeRequest":
-        """Rebuild a request, rejecting unknown keys with did-you-mean."""
-        known = {spec.name for spec in fields(cls)}
-        kwargs: dict = {}
-        for key, value in dict(data).items():
-            if key not in known:
-                raise ValueError(
-                    unknown_name_message(
-                        "optimize field", key, sorted(known)
-                    )
-                )
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[key] = value
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OptimizeRequest":
-        """Inverse of :meth:`to_json`."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"invalid request JSON: {error}") from None
-        if not isinstance(data, dict):
-            raise ValueError("request JSON must be an object")
-        return cls.from_dict(data)
+        request = self.to_dict()
+        request["timeout_s"] = None
+        return ("optimize", {"request": request})
 
     def digest(self) -> str:
-        """Stable identity hash — exactly the result-store address
-        :func:`repro.core.sweep.cached_run` writes the search result
-        to, so a digest match *is* a cache hit."""
-        from repro.core.sweep import cache_key, key_digest
-
-        return key_digest(cache_key(*self.to_run_payload()))
+        """Stable identity hash — the search result's store address
+        (see :meth:`repro.envelope.Envelope.digest`)."""
+        return super().digest()
 
 
 @dataclass(frozen=True)

@@ -98,18 +98,16 @@ def run_optimize(
         )
         from repro.core.store import persistence_enabled
 
-        payload = {"request": request.to_dict()}
-        hit = lookup_cached("optimize", payload)
+        kind, payload = request.to_run_payload()
+        hit = lookup_cached(kind, payload)
         if hit is not None:
             return hit
         result = run_optimize(
             request, jobs=jobs, settings=None, cached=False
         )
-        seed_memo("optimize", payload, result)
+        seed_memo(kind, payload, result)
         if persistence_enabled():
-            result_store().put(
-                key_digest(cache_key("optimize", payload)), result
-            )
+            result_store().put(key_digest(cache_key(kind, payload)), result)
         return result
     if request.kind == "serving":
         return _optimize_serving(request, jobs)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import repro
 import repro.core.sweep as sweep_mod
-from repro.api import KINDS, SimRequest, submit, submit_many
+from repro.api import KINDS, OptimizeRequest, SimRequest, submit, submit_many
 from repro.core.experiment import execute_training
 from repro.parallelism.strategy import OptimizationConfig
 from tests.conftest import assert_run_results_equal
@@ -277,3 +277,148 @@ class TestPublicSurface:
         assert isinstance(payload, dict)
         assert payload["model"] == "gpt3-13b"
         assert isinstance(payload["optimizations"], dict)
+
+
+#: One request per envelope shape, with the digest each had before the
+#: two schemas moved onto :class:`repro.envelope.Envelope`. A digest is a
+#: result-store address, so any change here orphans users' caches.
+PINNED = {
+    "training": (
+        lambda: SimRequest(
+            model="gpt3-13b", cluster="h100x64", parallelism="TP4-PP2"
+        ),
+        "b1402c0a1679edb8cba64f5cb4607c5da32b8c33566e7cb7ad8fd8f7c8cd252d",
+    ),
+    "training-faults-governor-zb-h1": (
+        lambda: SimRequest(
+            model="gpt3-13b", cluster="mi250x32", parallelism="TP2-PP8",
+            optimizations=OptimizationConfig(activation_recompute=True),
+            microbatch_size=2, global_batch_size=64, governor="thermal",
+            freq_setpoint=0.8, fault_node=1, fault_time=2.0,
+            fault_duration=3.0, fault_kind="link-degrade",
+            pipeline_schedule="ZB_H1",
+        ),
+        "6ee40e4be2a60c93275ef52c607f98b434495b17f93c2d8858bd37faf6851b00",
+    ),
+    "inference": (
+        lambda: SimRequest(
+            kind="infer", model="gpt3-13b", cluster="h100x64",
+            parallelism="TP8-PP1", global_batch_size=128,
+        ),
+        "4342641b742b356fc1ed0ace552e927986f54048826463cd585e466e1e277562",
+    ),
+    "serving": (
+        lambda: SimRequest(
+            kind="serving", model="gpt3-13b", cluster="h200x32",
+            freq_setpoint=0.8,
+            serving={
+                "trace": {"duration_s": 120.0, "mean_rate_per_s": 2.0},
+                "batcher": {"gpus_per_replica": 8},
+                "replicas": 1,
+            },
+        ),
+        "2704179f04305a82772beee986991f3fd3101d9119af8d615f7fc2378f4d580a",
+    ),
+    "fleet": (
+        lambda: SimRequest(
+            kind="fleet",
+            fleet={"policy": "thermal-aware", "seed": 3, "num_jobs": 6,
+                   "power_cap_kw": 10.0},
+        ),
+        "7144453f89eeacc569098c152e6eac9a0fcb96391e2e7fdd6dc5d76131830c83",
+    ),
+    "optimize-flagship": (
+        lambda: OptimizeRequest(
+            model="gpt3-13b", cluster="h100x64", objective="energy_delay",
+            max_slowdown=0.05, global_batch_size=32,
+        ),
+        "27a0ba7e344d4c1b63b6cebb35af79d8d1fff753d516071047276ab66a6e0461",
+    ),
+    "optimize-serving": (
+        lambda: OptimizeRequest(
+            kind="serving", model="gpt3-13b", cluster="h200x32",
+            replicas=(1, 2), gpus_per_replica=(4, 8),
+            serving={"trace": {"duration_s": 60.0}},
+        ),
+        "cc1b9dd95a6d7d5f99015af6d3eea4b7938ef077ebd2a4f4f3ecbea14aa4ccad",
+    ),
+}
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest_is_pinned(self, name):
+        build, expected = PINNED[name]
+        request = build()
+        assert request.digest() == expected
+        assert type(request).from_json(request.to_json()).digest() == expected
+
+    @pytest.mark.parametrize(
+        "name", ["training", "fleet", "optimize-flagship", "serving"]
+    )
+    def test_timeout_is_not_identity(self, name):
+        build, expected = PINNED[name]
+        timed = dataclasses.replace(build(), timeout_s=30.0)
+        assert timed.timeout_s == 30.0
+        assert timed.digest() == expected
+
+    @pytest.mark.parametrize(
+        "build, field_name",
+        [
+            (lambda: OptimizeRequest(model="gpt3-13b", cluster="h100x64",
+                                     allow_fsdp="false"), "allow_fsdp"),
+            (lambda: OptimizeRequest(model="gpt3-13b", cluster="h100x64",
+                                     beam_width=True), "beam_width"),
+            (lambda: _request(freq_setpoint="0.8"), "freq_setpoint"),
+            (lambda: _request(microbatch_size=2.0), "microbatch_size"),
+        ],
+    )
+    def test_type_check_names_the_field(self, build, field_name):
+        with pytest.raises(ValueError, match=f"^{field_name} must be"):
+            build()
+
+    def test_type_check_covers_decoded_input(self):
+        data = {**_request().to_dict(), "iterations": "2"}
+        with pytest.raises(ValueError, match="iterations must be"):
+            SimRequest.from_dict(data)
+        with pytest.raises(ValueError, match="beam_width must be"):
+            OptimizeRequest.from_json(
+                '{"model": "gpt3-13b", "cluster": "h100x64", '
+                '"beam_width": true}'
+            )
+
+    def test_ints_stay_ints_in_float_fields(self):
+        request = _request(freq_setpoint=1)
+        assert request.freq_setpoint == 1
+        assert request.digest() == _request().digest()
+
+    def test_any_sequence_for_tuple_fields(self):
+        listed = OptimizeRequest(
+            model="gpt3-13b", cluster="h100x64", microbatch_sizes=[4, 1]
+        )
+        assert listed.microbatch_sizes == (1, 4)
+        with pytest.raises(ValueError, match="microbatch_sizes must be"):
+            OptimizeRequest(
+                model="gpt3-13b", cluster="h100x64", microbatch_sizes="14"
+            )
+
+    def test_unknown_serving_key_is_prefixed_once(self):
+        with pytest.raises(ValueError) as excinfo:
+            SimRequest(kind="serving", model="gpt3-13b",
+                       cluster="h200x32", serving={"replicaz": 2})
+        message = str(excinfo.value)
+        assert message.startswith("serving: unknown serving field")
+        assert "serving: serving:" not in message
+        assert "did you mean 'replicas'" in message
+
+    def test_nested_unknown_key_names_its_section(self):
+        with pytest.raises(ValueError,
+                           match="serving: batcher: unknown batcher field"):
+            SimRequest(kind="serving", model="gpt3-13b",
+                       cluster="h200x32",
+                       serving={"batcher": {"gpu_per_replica": 8}})
+
+    def test_strategy_must_tile_the_cluster(self):
+        with pytest.raises(ValueError, match="not divisible"):
+            SimRequest(model="gpt3-13b", cluster="h100x64",
+                       parallelism="TP3")

@@ -373,3 +373,89 @@ class TestCommands:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert second.splitlines()[:8] == first.splitlines()[:8]
+
+
+class _Captured(Exception):
+    """Raised by a stub executor to hand the built request back."""
+
+
+class TestRequestsFromFlags:
+    def _built(self, monkeypatch, argv):
+        import repro.cli as cli
+        import repro.optimize
+
+        def capture(request, **_):
+            raise _Captured(request)
+
+        monkeypatch.setattr(cli, "submit", capture)
+        monkeypatch.setattr(repro.optimize, "run_optimize", capture)
+        with pytest.raises(_Captured) as excinfo:
+            main(argv)
+        return excinfo.value.args[0]
+
+    def test_required_flags_build_the_default_request(self, monkeypatch):
+        from repro.api import OptimizeRequest, SimRequest
+
+        common = ["--model", "gpt3-13b", "--cluster", "h100x64"]
+        cases = [
+            (["run", *common, "--parallelism", "TP4-PP2"],
+             SimRequest(model="gpt3-13b", cluster="h100x64",
+                        parallelism="TP4-PP2")),
+            (["optimize", *common],
+             OptimizeRequest(model="gpt3-13b", cluster="h100x64")),
+            (["inferserve", "run", *common],
+             SimRequest(kind="serving", model="gpt3-13b",
+                        cluster="h100x64")),
+        ]
+        for argv, expected in cases:
+            assert self._built(monkeypatch, argv) == expected
+
+    def test_flags_reach_their_fields(self, monkeypatch):
+        request = self._built(monkeypatch, [
+            "optimize", "--model", "gpt3-13b", "--cluster", "h100x64",
+            "--lo", "0.6", "--microbatch", "2", "--max-slowdown", "-1",
+            "--schedule", "zb-h1", "--allow-fsdp", "--timeout-s", "9",
+        ])
+        assert request.setpoint_lo == 0.6
+        assert request.microbatch_sizes == (2,)
+        assert request.max_slowdown is None
+        assert request.schedules == ("zb-h1",)
+        assert request.allow_fsdp is True
+        assert request.timeout_s == 9.0
+
+    def test_errors_name_real_flags(self, capsys):
+        code = main([
+            "run", "--model", "gpt3-13b", "--cluster", "mi250x32",
+            "--parallelism", "TP2-PP4", "--global-batch", "40",
+            "--pipeline-schedule", "interleaved",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--global-batch 40 with --microbatch 1" in err
+        assert "--global-batch-size" not in err
+        assert "--pipeline-schedule 1f1b" in err
+
+    def test_flagify_rewrites_whole_field_names_only(self):
+        from repro.cli import _flagify
+
+        assert _flagify("microbatch_sizes and microbatch_size") == (
+            "--microbatch and --microbatch"
+        )
+        assert _flagify("unknown model 'x'") == "unknown model 'x'"
+        assert _flagify("warmup_iterations must be") == (
+            "warmup_iterations must be"
+        )
+        assert _flagify("gpu_power_limit_w") == "gpu_power_limit_w"
+
+    def test_untileable_strategy_exit_code_ignores_jobs(self, capsys):
+        errors = []
+        for jobs in ("1", "2"):
+            code = main([
+                "sweep", "--model", "gpt3-13b", "--cluster", "h100x64",
+                "--parallelism", "TP3", "--microbatch", "1", "2",
+                "--jobs", jobs,
+            ])
+            assert code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "not divisible" in errors[0]

@@ -463,6 +463,36 @@ class TestBrokerTransport:
             assert excinfo.value.code == 400
 
 
+    def test_http_deadline_header_hits_the_stored_twin(self):
+        import urllib.request
+
+        import repro.core.sweep as sweep_mod
+        from repro.serve import BrokerConfig, BrokerServer
+
+        def post(headers):
+            http_request = urllib.request.Request(
+                f"http://{server.address}/v1/optimize",
+                data=_request().to_json().encode(),
+                headers={"Content-Type": "application/json", **headers},
+            )
+            with urllib.request.urlopen(
+                http_request, timeout=120
+            ) as reply:
+                return json.loads(reply.read())
+
+        sweep_mod._CACHE.clear()  # the first answer must reach the store
+        with BrokerServer(
+            BrokerConfig(use_processes=False), port=0
+        ) as server:
+            first = post({})
+            sweep_mod._CACHE.clear()  # so the second can only hit disk
+            second = post({"X-Repro-Deadline-S": "600"})
+        assert first["cached"] is False
+        assert second["cached"] is True
+        assert second["request"]["timeout_s"] == 600.0
+        assert second["digest"] == first["digest"]
+
+
 # -- CLI ---------------------------------------------------------------
 
 
