@@ -37,11 +37,7 @@ import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
-from repro.core.experiment import (
-    DEFAULT_GLOBAL_BATCH,
-    execute_inference,
-    execute_training,
-)
+from repro.core.experiment import DEFAULT_GLOBAL_BATCH
 from repro.core.faults import FaultEvent, FaultKind, FaultSpec, FaultTimeline
 from repro.core.results import RunResult
 from repro.engine.simulator import SimSettings
@@ -590,17 +586,12 @@ def submit(request: SimRequest | OptimizeRequest, *, cache: bool = True):
         from repro.datacenter import simulate_fleet
 
         return simulate_fleet(request.to_fleet_config())
+    from repro.core.sweep import cached_run, run_uncached
+
     kind, kwargs = request.to_run_payload()
     if cache:
-        from repro.core.sweep import cached_run
-
         return cached_run(kind, **kwargs)
-    if kind == "serve":
-        from repro.inferserve.engine import execute_serving
-
-        return execute_serving(**kwargs)
-    runner = execute_training if kind == "train" else execute_inference
-    return runner(**kwargs)
+    return run_uncached(kind, kwargs)
 
 
 class BatchResult(list):
@@ -626,22 +617,22 @@ def submit_many(
 ) -> BatchResult:
     """Execute a batch of requests; results come back in input order.
 
-    Duplicate requests (same :meth:`SimRequest.digest`) simulate once.
-    With ``jobs == 1`` cacheable requests stay in-process and batch
-    through :func:`repro.engine.batched.evaluate_grid` (shared-graph
-    grids anchor once and replay). With ``jobs > 1`` (values below 1
-    mean auto) the whole batch shares one persistent
-    :class:`repro.serve.workers.WorkerPool` — workers are spawned once
-    for the batch, steal work from each other, and crashed payloads are
+    Cacheable requests (everything but fleet) run as one
+    :func:`repro.core.parallel.map_runs` batch: duplicates (same
+    :meth:`SimRequest.digest`) simulate once, ``jobs == 1`` batches
+    in-process through :func:`repro.engine.batched.evaluate_grid`
+    (shared-graph grids anchor once and replay), and ``jobs > 1``
+    (values below 1 mean auto) shares one persistent
+    :class:`repro.serve.workers.WorkerPool` for the batch — workers are
+    spawned once, steal work from each other, and crashed payloads are
     retried then completed in-process, so no request is dropped. Fleet
-    requests run in-process either way.
+    requests run in-process either way, once per distinct digest.
 
     Returns a :class:`BatchResult` (a list) whose ``report`` attribute
     records any crash recovery; pass your own ``report`` to accumulate
     across batches.
     """
     from repro.core.parallel import ExecutionReport, map_runs, resolve_jobs
-    from repro.core.sweep import seed_memo
 
     requests = list(requests)
     for request in requests:
@@ -652,31 +643,20 @@ def submit_many(
             )
     if report is None:
         report = ExecutionReport()
-    jobs = 1 if jobs == 1 else resolve_jobs(jobs)
-    distinct: dict[str, SimRequest] = {}
+    outputs = iter(map_runs(
+        [r.to_run_payload() for r in requests if r.cacheable],
+        resolve_jobs(jobs),
+        report,
+    ))
+    fleet: dict[str, Any] = {}
+    results = []
     for request in requests:
-        distinct.setdefault(request.digest(), request)
-    pooled = [
-        (digest, request)
-        for digest, request in distinct.items()
-        if request.cacheable
-    ]
-    payloads = [request.to_run_payload() for _, request in pooled]
-    if jobs > 1 and len(payloads) > 1:
-        from repro.serve.workers import WorkerPool
-
-        with WorkerPool(min(jobs, len(payloads))) as pool:
-            outputs = pool.map(payloads, report)
-    else:
-        outputs = map_runs(payloads, 1, report)
-    results: dict[str, Any] = {}
-    for (digest, _), payload, output in zip(pooled, payloads, outputs):
-        seed_memo(payload[0], payload[1], output)
-        results[digest] = output
-    for digest, request in distinct.items():
-        if not request.cacheable:
-            results[digest] = submit(request)
-    return BatchResult(
-        [results[request.digest()] for request in requests], report
-    )
+        if request.cacheable:
+            results.append(next(outputs))
+            continue
+        digest = request.digest()
+        if digest not in fleet:
+            fleet[digest] = submit(request)
+        results.append(fleet[digest])
+    return BatchResult(results, report)
 

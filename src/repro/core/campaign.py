@@ -101,7 +101,7 @@ def run_campaign(
     Specs that share an identical simulation configuration simulate
     once and reuse the result (each spec name still gets its own
     artifact directory and summary row). Runs go through
-    :func:`repro.core.sweep.cached_run`, so repeated campaigns
+    :func:`repro.core.parallel.map_runs`, so repeated campaigns
     reuse the persistent result store.
 
     Args:
@@ -114,7 +114,6 @@ def run_campaign(
             independent of ``jobs``.
     """
     from repro.core.parallel import map_runs, resolve_jobs
-    from repro.core.sweep import cached_run
 
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
@@ -124,38 +123,11 @@ def run_campaign(
     results: dict[str, RunResult] = {}
     rows: list[dict] = []
 
-    distinct: dict[tuple, dict] = {}
-    for spec in specs:
-        key = (
-            spec.model,
-            spec.cluster,
-            spec.parallelism,
-            spec.optimizations,
-            spec.microbatch_size,
-            spec.global_batch_size,
-        )
-        distinct.setdefault(key, _spec_kwargs(spec))
-    jobs = 1 if jobs == 1 else resolve_jobs(jobs)
-    if jobs > 1:
-        payloads = [("train", kwargs) for kwargs in distinct.values()]
-        outputs = map_runs(payloads, jobs)
-        simulated = dict(zip(distinct, outputs))
-    else:
-        simulated = {
-            key: cached_run("train", **kwargs)
-            for key, kwargs in distinct.items()
-        }
-
-    for spec in specs:
-        key = (
-            spec.model,
-            spec.cluster,
-            spec.parallelism,
-            spec.optimizations,
-            spec.microbatch_size,
-            spec.global_batch_size,
-        )
-        result = simulated[key]
+    outputs = map_runs(
+        [("train", _spec_kwargs(spec)) for spec in specs],
+        resolve_jobs(jobs),
+    )
+    for spec, result in zip(specs, outputs):
         results[spec.name] = result
         summary = run_summary(result)
         row = {"name": spec.name}

@@ -1,45 +1,43 @@
 """Process-parallel execution of simulation runs.
 
 :func:`map_runs` fans a list of run payloads over a
-``ProcessPoolExecutor`` and returns results in input order regardless of
-which worker finishes first, so parallel sweeps are deterministic:
-``jobs`` changes wall-clock time, never results. ``jobs=1`` (the default
-everywhere) bypasses the pool entirely and preserves the exact serial
-code path.
+:class:`repro.serve.workers.WorkerPool` and returns results in input
+order regardless of which worker finishes first, so parallel sweeps are
+deterministic: ``jobs`` changes wall-clock time, never results.
+``jobs=1`` (the default everywhere) bypasses the pool entirely and
+preserves the exact serial code path. :func:`map_calls` is the same
+fan-out for any picklable top-level callable.
 
 The fan-out is crash-proof: a worker process that dies (SIGKILL, OOM
-reaper, native crash) breaks only its own payloads, not the sweep. Every
-payload stranded by a broken pool is retried once in a fresh pool, and
-anything that still cannot complete there — a "poisoned" payload that
-kills whatever worker picks it up — falls back to in-process execution.
-What happened is reported through the optional :class:`ExecutionReport`
-argument. Ordinary exceptions raised *by* a payload are not retried;
-they propagate, as they are deterministic.
+reaper, native crash) breaks only its own payload, not the sweep. The
+pool re-dispatches a stranded payload to another (respawned) worker,
+and anything that still cannot complete there — a "poisoned" payload
+that kills whatever worker picks it up — falls back to in-process
+execution. What happened is reported through the optional
+:class:`ExecutionReport` argument. Ordinary exceptions raised *by* a
+payload are not retried; they propagate with their own type, as they
+are deterministic.
 
 Workers run :func:`repro.core.sweep.cached_run`, so they share the
 persistent on-disk store with the parent: a worker's simulation is
 written once (atomically) and every later process reads it back.
 
 :func:`run_supervised` is the single-payload sibling the
-``repro.serve`` broker uses: one dedicated child process per payload,
-with a hard deadline (the child is killed, not abandoned) and crash
-detection, so a SIGKILLed or hung simulation becomes a structured
-error instead of taking the broker down.
+``repro.serve`` broker uses when it has no pool: one dedicated child
+process per payload, with a hard deadline (the child is killed, not
+abandoned) and crash detection, so a SIGKILLed or hung simulation
+becomes a structured error instead of taking the broker down.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 #: Payload shape: ("train" | "infer", kwargs-dict for the cached runner).
 RunPayload = tuple[str, dict]
-
-#: One initial attempt plus one retry in a fresh pool.
-_POOL_ATTEMPTS = 2
 
 
 @dataclass
@@ -47,9 +45,9 @@ class ExecutionReport:
     """How a fan-out actually executed (crash recovery bookkeeping).
 
     Attributes:
-        retried: input indices whose worker died and were re-submitted
-            to a fresh pool.
-        fell_back: input indices that also failed the retry (or could
+        retried: input indices whose worker died and were re-dispatched
+            to another worker.
+        fell_back: input indices that used up their retries (or could
             never be pooled) and ran in-process instead.
     """
 
@@ -92,48 +90,24 @@ def _run_payload(payload: RunPayload):
     return cached_run(kind, **kwargs)
 
 
-def _fan_out(fn, items: list, jobs: int,
+def _on_pool(fn, items: list, jobs: int,
              report: ExecutionReport | None) -> list:
-    """Pool fan-out with crash recovery; results in input order.
+    """``[fn(item) for item in items]`` on one fresh
+    :class:`~repro.serve.workers.WorkerPool`; results in input order.
 
-    Indices stranded by a dead worker are retried once in a fresh pool,
-    then executed in-process. Platforms that cannot spawn processes at
-    all skip straight to the serial path.
+    Platforms that cannot spawn processes at all run every item
+    in-process (each reported as fallen back).
     """
-    workers = min(jobs, len(items))
-    results: list = [None] * len(items)
-    pending = list(range(len(items)))
-    for attempt in range(_POOL_ATTEMPTS):
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(pending))
-            )
-        except (OSError, PermissionError, NotImplementedError):
-            break
-        broken: list[int] = []
-        with pool:
-            futures = []
-            try:
-                for index in pending:
-                    futures.append((index, pool.submit(fn, items[index])))
-            except (BrokenExecutor, RuntimeError, OSError):
-                submitted = {index for index, _ in futures}
-                broken.extend(i for i in pending if i not in submitted)
-            for index, future in futures:
-                try:
-                    results[index] = future.result()
-                except (BrokenExecutor, OSError):
-                    broken.append(index)
-        if broken and attempt == 0 and report is not None:
-            report.retried = sorted(broken)
-        pending = sorted(broken)
-        if not pending:
-            return results
-    if report is not None:
-        report.fell_back = list(pending)
-    for index in pending:
-        results[index] = fn(items[index])
-    return results
+    from repro.serve.workers import WorkerPool
+
+    try:
+        pool = WorkerPool(min(jobs, len(items)))
+    except (OSError, PermissionError, NotImplementedError):
+        if report is not None:
+            report.fell_back.extend(range(len(items)))
+        return [fn(item) for item in items]
+    with pool:
+        return pool.map_calls(fn, items, report)
 
 
 def map_runs(
@@ -143,22 +117,47 @@ def map_runs(
 ) -> list:
     """Run every payload and return results in input order.
 
-    With ``jobs <= 1`` (or a single payload) payloads stay in-process
-    and route through :func:`repro.engine.batched.evaluate_grid`, which
-    groups configs sharing a task graph into one anchor simulation plus
-    vectorized replays (cache semantics identical to
+    Duplicate payloads (same :func:`repro.core.sweep.cache_key`) run
+    once and share one result object, and every result lands in the
+    in-process memo, so callers need no dedupe or memo seeding of
+    their own. With ``jobs <= 1`` (or a single distinct payload)
+    payloads stay in-process and route through
+    :func:`repro.engine.batched.evaluate_grid`, which groups configs
+    sharing a task graph into one anchor simulation plus vectorized
+    replays (cache semantics identical to
     :func:`repro.core.sweep.cached_run`; non-batchable payloads take the
-    exact serial path). Otherwise payloads fan out over worker processes
-    with the crash recovery described in the module docstring;
-    ``report`` (when given) is filled in with any retried / fallen-back
-    indices.
+    exact serial path). Otherwise the distinct payloads fan out over a
+    worker pool with the crash recovery described in the module
+    docstring; ``report`` (when given) is filled in with the input
+    index of any retried / fallen-back payload. A payload's own
+    exception propagates with its own type either way.
     """
     payloads = list(payloads)
-    if jobs <= 1 or len(payloads) <= 1:
-        from repro.engine.batched import evaluate_grid
+    if jobs > 1 and len(payloads) > 1:
+        from repro.core.sweep import cache_key, seed_memo
 
-        return evaluate_grid(payloads)
-    return _fan_out(_run_payload, payloads, jobs, report)
+        keys = [cache_key(*payload) for payload in payloads]
+        first: dict[tuple, int] = {}
+        for index, key in enumerate(keys):
+            first.setdefault(key, index)
+        if len(first) > 1:
+            indices = list(first.values())
+            pooled = ExecutionReport()
+            outputs = _on_pool(
+                _run_payload, [payloads[i] for i in indices], jobs, pooled
+            )
+            if report is not None:
+                report.retried.extend(indices[i] for i in pooled.retried)
+                report.fell_back.extend(
+                    indices[i] for i in pooled.fell_back
+                )
+            for index, output in zip(indices, outputs):
+                seed_memo(*payloads[index], output)
+            by_key = dict(zip(first, outputs))
+            return [by_key[key] for key in keys]
+    from repro.engine.batched import evaluate_grid
+
+    return evaluate_grid(payloads)
 
 
 class WorkerCrashError(RuntimeError):
@@ -263,10 +262,11 @@ def map_calls(
     """Generic deterministic fan-out: ``[fn(item) for item in items]``.
 
     ``fn`` must be a picklable top-level callable. Used for pre-profiling
-    job shapes and other non-RunResult work; the same serial-fallback and
-    crash-recovery rules as :func:`map_runs` apply.
+    job shapes and other non-RunResult work; the same pool, serial
+    fallback and crash-recovery rules as :func:`map_runs` apply (no
+    dedupe: items need not be run payloads).
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    return _fan_out(fn, items, jobs, report)
+    return _on_pool(fn, items, jobs, report)

@@ -100,8 +100,52 @@ def key_digest(key: tuple) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _cached_run(kind: str, runner: Callable[..., RunResult],
-                kwargs: dict) -> RunResult:
+def run_uncached(kind: str, kwargs: dict):
+    """Execute one ``(kind, kwargs)`` payload with no memo or store.
+
+    The one kind → runner dispatch. Runners are this module's globals,
+    read at call time, so a runner patched here (tests count
+    simulations that way) is the one every caller runs.
+    """
+    if kind == "train":
+        return execute_training(**kwargs)
+    if kind == "infer":
+        return execute_inference(**kwargs)
+    if kind == "serve":
+        # Deferred: the serving engine imports the models/hardware
+        # layers, which in turn import this module.
+        from repro.inferserve.engine import execute_serving
+
+        return execute_serving(**kwargs)
+    if kind == "optimize":
+        # Deferred for the same reason: the optimizer sits on top of
+        # the whole run stack. Payload: the OptimizeRequest dict form,
+        # so the stored OptimizeResult is addressed by every search knob.
+        from repro.optimize.search import run_optimize_payload
+
+        return run_optimize_payload(**kwargs)
+    from repro.suggest import unknown_name_message
+
+    raise ValueError(
+        unknown_name_message(
+            "run kind", kind, ("train", "infer", "serve", "optimize")
+        )
+    )
+
+
+def cached_run(kind: str, **kwargs) -> RunResult:
+    """Memoised execution of one ``"train"`` / ``"infer"`` /
+    ``"serve"`` / ``"optimize"`` payload.
+
+    The canonical cached entry point: results are served from (in
+    order) the in-process memo, the persistent ``.repro_cache`` store,
+    and a fresh simulation (:func:`run_uncached`). Pass models,
+    clusters, and strategies by catalog name for the most compact keys
+    (full config objects also work). Worker processes,
+    :func:`repro.api.submit`, and the ``repro.serve`` broker all
+    execute through here, so every consumer shares one cache address
+    space.
+    """
     key = _cache_key(kind, kwargs)
     result = _CACHE.get(key)
     if result is not None:
@@ -111,49 +155,11 @@ def _cached_run(kind: str, runner: Callable[..., RunResult],
     if store is not None:
         result = store.get(digest)
     if result is None:
-        result = runner(**kwargs)
+        result = run_uncached(kind, kwargs)
         if store is not None:
             store.put(digest, result)
     _CACHE[key] = result
     return result
-
-
-def cached_run(kind: str, **kwargs) -> RunResult:
-    """Memoised execution of one ``"train"`` / ``"infer"`` /
-    ``"serve"`` / ``"optimize"`` payload.
-
-    The canonical cached entry point: results are served from (in
-    order) the in-process memo, the persistent ``.repro_cache`` store,
-    and a fresh simulation. Pass models, clusters, and strategies by
-    catalog name for the most compact keys (full config objects also
-    work). Worker processes, :func:`repro.api.submit`, and the
-    ``repro.serve`` broker all execute through here, so every consumer
-    shares one cache address space.
-    """
-    if kind == "train":
-        return _cached_run(kind, execute_training, kwargs)
-    if kind == "infer":
-        return _cached_run(kind, execute_inference, kwargs)
-    if kind == "serve":
-        # Deferred: the serving engine imports the models/hardware
-        # layers, which in turn import this module.
-        from repro.inferserve.engine import execute_serving
-
-        return _cached_run(kind, execute_serving, kwargs)
-    if kind == "optimize":
-        # Deferred for the same reason: the optimizer sits on top of
-        # the whole run stack. Payload: the OptimizeRequest dict form,
-        # so the stored OptimizeResult is addressed by every search knob.
-        from repro.optimize.search import run_optimize_payload
-
-        return _cached_run(kind, run_optimize_payload, kwargs)
-    from repro.suggest import unknown_name_message
-
-    raise ValueError(
-        unknown_name_message(
-            "run kind", kind, ("train", "infer", "serve", "optimize")
-        )
-    )
 
 
 def lookup_memo(kind: str, kwargs: dict) -> RunResult | None:
@@ -275,7 +281,6 @@ def run_sweep(
             seen.add(point)
             ordered.append(point)
 
-    jobs = 1 if jobs == 1 else resolve_jobs(jobs)
     payloads = [
         (
             "train",
@@ -284,7 +289,7 @@ def run_sweep(
         for point in ordered
     ]
     report = ExecutionReport()
-    outputs = map_runs(payloads, jobs, report)
+    outputs = map_runs(payloads, resolve_jobs(jobs), report)
     if report.crashed:
         print(
             f"warning: sweep survived worker crashes "
@@ -293,9 +298,7 @@ def run_sweep(
         )
 
     results: dict[SweepPoint, RunResult] = {}
-    for point, payload, result in zip(ordered, payloads, outputs):
-        # Seed the in-process memo so later figures reuse worker output.
-        seed_memo("train", payload[1], result)
+    for point, result in zip(ordered, outputs):
         results[point] = result
         if on_result is not None:
             on_result(point, result)
@@ -337,11 +340,12 @@ def sweep_inference(
 ) -> list[InferencePoint]:
     """Run the Figure 23 grid: strategies x microbatch sizes.
 
-    The grid is materialised up front, deduplicated (a strategy or
-    microbatch repeated in the input simulates once), and fanned out
-    over the crash-proof worker pool when ``jobs != 1`` (0 = auto).
-    Results come back in grid order either way, and every point lands
-    in the shared memo, so repeating the sweep costs dict lookups.
+    The grid is materialised up front and handed to
+    :func:`repro.core.parallel.map_runs`: a strategy or microbatch
+    repeated in the input simulates once, ``jobs != 1`` (0 = auto) fans
+    out over the crash-proof worker pool, results come back in grid
+    order either way, and every point lands in the shared memo, so
+    repeating the sweep costs dict lookups.
     """
     from repro.core.parallel import map_runs, resolve_jobs
 
@@ -363,30 +367,11 @@ def sweep_inference(
         )
         for strategy, mb in grid
     ]
-    distinct: dict[tuple, tuple[str, dict]] = {}
-    for payload in payloads:
-        distinct.setdefault(cache_key(*payload), payload)
-    jobs = 1 if jobs == 1 else resolve_jobs(jobs)
-    if jobs == 1 or len(distinct) == 1:
-        results = {
-            key: cached_run(kind, **kwargs)
-            for key, (kind, kwargs) in distinct.items()
-        }
-    else:
-        outputs = map_runs(list(distinct.values()), jobs)
-        results = {}
-        for (key, (kind, kwargs)), output in zip(
-            distinct.items(), outputs
-        ):
-            seed_memo(kind, kwargs, output)
-            results[key] = output
+    outputs = map_runs(payloads, resolve_jobs(jobs))
     return [
-        InferencePoint(
-            parallelism=strategy,
-            microbatch_size=mb,
-            result=results[cache_key(*payload)],
-        )
-        for (strategy, mb), payload in zip(grid, payloads)
+        InferencePoint(parallelism=strategy, microbatch_size=mb,
+                       result=result)
+        for (strategy, mb), result in zip(grid, outputs)
     ]
 
 

@@ -56,10 +56,10 @@ import numpy as np
 
 from repro.comm.contention import NicContention
 from repro.comm.traffic import TrafficLedger
+from repro.core.experiment import RunAssembly, _resolve_cluster, assemble_run
 from repro.core.faults import HEALTHY
 from repro.core.results import RunResult
 from repro.core.store import persistence_enabled, result_store
-from repro.engine.builder import build_inference_graph, build_training_graph
 from repro.engine.kernels import KernelKind, KernelRecord
 from repro.engine.physics import VectorPhysics
 from repro.engine.simulator import EPS, SimOutcome, SimSettings, Simulator
@@ -68,8 +68,6 @@ from repro.optimizations.overlap import (
     OVERLAP_COMM_SLOWDOWN,
     OVERLAP_COMPUTE_SLOWDOWN,
 )
-from repro.parallelism.mapping import DeviceMesh
-from repro.parallelism.strategy import OptimizationConfig
 from repro.power.model import Activity, gpu_power
 from repro.powerctl.config import NO_POWER_CONTROL, freq_for_power_limit
 from repro.powerctl.governor import build_runtime
@@ -1485,8 +1483,6 @@ def _batchable(kind: str, kwargs: dict) -> _Member | None:
         return None
     if settings.fault_timeline.events:
         return None
-    from repro.core.experiment import _resolve_cluster
-
     try:
         cluster = _resolve_cluster(kwargs["cluster"])
     except Exception:
@@ -1517,91 +1513,23 @@ class _BatchGroup:
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
-        self._model = None
-        self._cluster = None
-        self._strategy = None
-        self._opts = None
-        self._mesh = None
-        self._graph = None
+        self._run: RunAssembly | None = None
         self._anchor: _RecordingSimulator | None = None
-
-    def _build(self, kwargs: dict) -> None:
-        from repro.core.experiment import (
-            _resolve_cluster,
-            _resolve_model,
-            _resolve_strategy,
-        )
-
-        self._model = _resolve_model(kwargs["model"])
-        self._cluster = _resolve_cluster(kwargs["cluster"])
-        self._strategy = _resolve_strategy(
-            kwargs["parallelism"], self._cluster
-        )
-        # Mirror execute_training/execute_inference: an explicit
-        # pipeline_schedule kwarg overrides the strategy's. The schedule
-        # is part of the frozen kwargs in _group_key, so each schedule
-        # forms its own anchor+replay group.
-        if kwargs.get("pipeline_schedule") is not None:
-            self._strategy = replace(
-                self._strategy,
-                pipeline_schedule=kwargs["pipeline_schedule"],
-            )
-        if self.kind == "train":
-            self._opts = kwargs.get("optimizations") or OptimizationConfig()
-            placement = kwargs.get("placement")
-            self._mesh = DeviceMesh(
-                cluster=self._cluster,
-                config=self._strategy,
-                placement=tuple(placement) if placement else (),
-            )
-            self._graph = build_training_graph(
-                model=self._model,
-                mesh=self._mesh,
-                microbatch_size=kwargs.get("microbatch_size", 1),
-                global_batch_size=kwargs.get("global_batch_size", 128),
-                opts=self._opts,
-                iterations=kwargs.get("iterations", 2),
-                stage_layers=kwargs.get("stage_layers"),
-                num_seq_splits=kwargs.get("seq_splits"),
-            )
-        else:
-            self._opts = OptimizationConfig(distributed_optimizer=False)
-            self._mesh = DeviceMesh(
-                cluster=self._cluster, config=self._strategy
-            )
-            self._graph = build_inference_graph(
-                model=self._model,
-                mesh=self._mesh,
-                microbatch_size=kwargs.get("microbatch_size", 1),
-                global_batch_size=kwargs.get("global_batch_size", 128),
-                iterations=kwargs.get("iterations", 2),
-                num_seq_splits=kwargs.get("seq_splits"),
-            )
-
-    def _wrap(self, member: _Member, outcome: SimOutcome) -> RunResult:
-        return RunResult(
-            model=self._model,
-            cluster=self._cluster,
-            parallelism=self._strategy,
-            optimizations=self._opts,
-            microbatch_size=member.kwargs.get("microbatch_size", 1),
-            warmup_iterations=member.kwargs.get("warmup_iterations", 1),
-            outcome=outcome,
-            placement=self._mesh.placement,
-        )
 
     def evaluate(self, members: list[_Member]) -> list[RunResult]:
         """Run every member, anchoring/replaying where possible."""
         results: list[RunResult | None] = [None] * len(members)
         start = 0
         if self._anchor is None and members:
-            anchor_member = members[0]
-            self._build(anchor_member.kwargs)
+            # Every member shares the anchor's kwargs but ``settings``
+            # (see _group_key), so one assembly serves the whole group.
+            kwargs = dict(members[0].kwargs)
+            settings = kwargs.pop("settings", None)
+            self._run = assemble_run(self.kind, **kwargs)
             simulator = _RecordingSimulator(
-                self._mesh, self._graph,
-                anchor_member.kwargs.get("settings"),
+                self._run.mesh, self._run.graph, settings
             )
-            results[0] = self._wrap(anchor_member, simulator.run())
+            results[0] = self._run.result(simulator.run())
             self._anchor = simulator
             start = 1
         rest = members[start:]
@@ -1614,7 +1542,7 @@ class _BatchGroup:
                         members[index].kind, members[index].kwargs
                     )
                 else:
-                    results[index] = self._wrap(members[index], outcome)
+                    results[index] = self._run.result(outcome)
         return results
 
     def _replay(self, members: list[_Member]) -> list[SimOutcome | None]:
@@ -1626,7 +1554,7 @@ class _BatchGroup:
             output = replay.finalize()
             output.prepare([m.settings for m in members])
             return [
-                output.reconstruct(lane, member.settings, self._graph)
+                output.reconstruct(lane, member.settings, self._run.graph)
                 for lane, member in enumerate(members)
             ]
         except _ReplayDiverged:
@@ -1634,24 +1562,11 @@ class _BatchGroup:
 
 
 def _plain_run(kind: str, kwargs: dict) -> RunResult:
-    # Resolved through the sweep module (not imported directly) so the
-    # batched path sees the same runners ``cached_run`` would — test
-    # doubles patched there keep working.
-    from repro.core import sweep
+    """One uncached per-config run: the fallback for every payload the
+    batched path does not replay (tests count its calls)."""
+    from repro.core.sweep import run_uncached
 
-    if kind == "train":
-        return sweep.execute_training(**kwargs)
-    if kind == "infer":
-        return sweep.execute_inference(**kwargs)
-    if kind == "serve":
-        from repro.inferserve.engine import execute_serving
-
-        return execute_serving(**kwargs)
-    from repro.suggest import unknown_name_message
-
-    raise ValueError(
-        unknown_name_message("run kind", kind, ("train", "infer", "serve"))
-    )
+    return run_uncached(kind, kwargs)
 
 
 def _probe(kind: str, kwargs: dict, store):

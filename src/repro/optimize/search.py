@@ -171,7 +171,7 @@ def _train_outcome(
 def _optimize_training(request: OptimizeRequest, jobs: int,
                        settings) -> OptimizeResult:
     from repro.core.parallel import map_runs
-    from repro.core.sweep import lookup_cached, seed_memo
+    from repro.core.sweep import lookup_cached
 
     model = get_model(request.model)
     cluster = get_cluster(request.cluster)
@@ -239,11 +239,7 @@ def _optimize_training(request: OptimizeRequest, jobs: int,
         1 for _, kwargs in payloads
         if lookup_cached("train", kwargs) is not None
     )
-    outputs = map_runs(payloads, jobs if len(payloads) > 1 else 1)
-    simulated: list[tuple[PlanCandidate, object]] = []
-    for candidate, payload, result in zip(beam, payloads, outputs):
-        seed_memo("train", payload[1], result)
-        simulated.append((candidate, result))
+    simulated = list(zip(beam, map_runs(payloads, jobs)))
 
     prune = PruneStats(
         raw=len(raw),
@@ -395,7 +391,7 @@ def _optimize_serving(request: OptimizeRequest,
     import dataclasses
 
     from repro.core.parallel import map_runs
-    from repro.core.sweep import lookup_cached, seed_memo
+    from repro.core.sweep import lookup_cached
     from repro.inferserve.config import ServingConfig
     from repro.models.memory import serving_kv_capacity_tokens
     from repro.optimize.serving import (
@@ -468,13 +464,12 @@ def _optimize_serving(request: OptimizeRequest,
         1 for _, kwargs in payloads
         if lookup_cached("serve", kwargs) is not None
     )
-    outputs = map_runs(payloads, jobs if len(payloads) > 1 else 1)
-    simulated = []
-    for (replicas, gpus, config), payload, outcome in zip(
-        deployments, payloads, outputs
-    ):
-        seed_memo("serve", payload[1], outcome)
-        simulated.append((replicas, gpus, config, outcome))
+    simulated = [
+        (replicas, gpus, config, outcome)
+        for (replicas, gpus, config), outcome in zip(
+            deployments, map_runs(payloads, jobs)
+        )
+    ]
 
     def cap_ok(outcome) -> bool:
         return (

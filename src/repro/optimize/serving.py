@@ -150,7 +150,7 @@ class _ProbeRunner:
     def ensure(self, setpoints: list[float], jobs: int) -> None:
         """Evaluate any unseen setpoints, fanning out when ``jobs>1``."""
         from repro.core.parallel import map_runs
-        from repro.core.sweep import lookup_cached, seed_memo
+        from repro.core.sweep import lookup_cached
 
         missing = [
             s for s in dict.fromkeys(setpoints)
@@ -174,12 +174,7 @@ class _ProbeRunner:
             1 for _, kwargs in payloads
             if lookup_cached("serve", kwargs) is not None
         )
-        outputs = map_runs(payloads, jobs if len(missing) > 1 else 1)
-        for setpoint, payload, outcome in zip(
-            missing, payloads, outputs
-        ):
-            seed_memo(payload[0], payload[1], outcome)
-            self.outcomes[setpoint] = outcome
+        self.outcomes.update(zip(missing, map_runs(payloads, jobs)))
 
     def outcome(self, setpoint: float) -> "ServingOutcome":
         if setpoint not in self.outcomes:

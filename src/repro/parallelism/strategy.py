@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
+from repro.schedules import canonical_schedule_name
 from repro.suggest import normalize_name
 
 
@@ -59,10 +60,7 @@ class ParallelismConfig:
     def __post_init__(self) -> None:
         # Registry lookup (not a hardcoded whitelist): any schedule in
         # repro.schedules is a valid pipeline_schedule, and unknown
-        # names get a did-you-mean error. Deferred import: the engine
-        # imports this module at startup, repro.schedules does not.
-        from repro.schedules import canonical_schedule_name
-
+        # names get a did-you-mean error.
         object.__setattr__(
             self,
             "pipeline_schedule",

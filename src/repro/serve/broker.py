@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import statistics
 import time
 from collections import OrderedDict, deque
@@ -282,31 +283,9 @@ class BrokerMetrics:
         }
 
 
-def _default_runner(request: SimRequest,
-                    timeout_s: float | None) -> object:
-    """Execute one request in a supervised child process.
-
-    Cacheable payloads run through :func:`run_request_payload`, so the
-    child writes the shared on-disk store before returning — the
-    parent's next identical request is a store hit. Fleet requests are
-    shipped as their dict form and rebuilt in the child.
-    """
-    if request.cacheable:
-        return run_supervised(
-            run_request_payload, request.to_run_payload(), timeout_s
-        )
-    return run_supervised(_submit_dict, request.to_dict(), timeout_s)
-
-
 def _submit_dict(data: dict) -> object:
     """Child-side fleet execution (top-level, picklable)."""
     return submit(SimRequest.from_dict(data))
-
-
-def _inline_runner(request: SimRequest,
-                   timeout_s: float | None) -> object:
-    """In-process execution (``use_processes=False``); no kill path."""
-    return submit(request)
 
 
 class BrokerUnavailableError(RuntimeError):
@@ -334,14 +313,8 @@ class Broker:
             from repro.serve.workers import WorkerPool
 
             self.pool = WorkerPool(self.config.workers)
-        if runner is not None:
-            self._runner = runner
-        elif self.pool is not None:
-            self._runner = self._pool_runner
-        elif self.config.use_processes:
-            self._runner = _default_runner
-        else:
-            self._runner = _inline_runner
+        # An injected runner replaces :meth:`_run_builtin`.
+        self._runner = runner
         self.metrics = BrokerMetrics()
         self._retry = RetryPolicy(
             attempts=self.config.retry_attempts,
@@ -378,18 +351,24 @@ class Broker:
             )
         self.metrics.requests += 1
         started = time.monotonic()
+        # Computed once; every later path (probes, runner, memo seeding)
+        # reuses it. None for fleet requests, which have no payload.
+        payload = request.to_run_payload() if request.cacheable else None
 
-        if self.config.cache and request.cacheable:
+        if self.config.cache and payload is not None:
             # Memo hits resolve inline (a dict lookup); only the
             # on-disk store probe pays for an executor hop.
-            hit = self._probe_memo(request)
+            from repro.core.sweep import lookup_cached, lookup_memo
+
+            hit = lookup_memo(*payload)
             if hit is None:
                 hit = await asyncio.get_running_loop().run_in_executor(
-                    None, self._probe_store, request
+                    None, lookup_cached, *payload
                 )
             if hit is not None:
                 self.metrics.hits += 1
-                self._remember_good(request, hit)
+                if self.config.degraded:
+                    self._remember_good(request.digest(), hit)
                 duration = time.monotonic() - started
                 self.metrics.observe(duration)
                 return SimResponse(
@@ -448,7 +427,7 @@ class Broker:
         self._inflight[digest] = future
         self._admitted += 1
         try:
-            response = await self._execute(request)
+            response = await self._execute(request, payload, digest)
         finally:
             self._admitted -= 1
             self._inflight.pop(digest, None)
@@ -542,44 +521,45 @@ class Broker:
 
     # -- internals ------------------------------------------------------
 
-    def _probe_memo(self, request: SimRequest):
-        from repro.core.sweep import lookup_memo
-
-        return lookup_memo(*request.to_run_payload())
-
-    def _probe_store(self, request: SimRequest):
-        from repro.core.sweep import lookup_cached
-
-        return lookup_cached(*request.to_run_payload())
-
     def _timeout_for(self, request: SimRequest) -> float | None:
         if request.timeout_s is not None:
             return request.timeout_s
         return self.config.default_timeout_s
 
-    def _pool_runner(self, request: SimRequest,
-                     timeout_s: float | None) -> object:
-        """Execute via the persistent worker pool (cacheable kinds);
-        fleet requests keep the per-request supervised child."""
-        if request.cacheable and self.pool is not None:
-            return self.pool.run(request.to_run_payload(), timeout_s,
-                                 hedge_s=self.config.hedge_s)
-        return _default_runner(request, timeout_s)
+    def _run_builtin(self, request: SimRequest, timeout_s: float | None,
+                     payload) -> object:
+        """Execute one miss: on the worker pool, in a supervised child
+        process, or (``use_processes=False``) in this process.
 
-    def _remember_good(self, request: SimRequest, result: object) -> None:
+        ``payload`` is the request's run payload (None for fleet
+        requests, which never use the pool). Children execute it
+        through :func:`run_request_payload`, so they write the shared
+        on-disk store before returning — the parent's next identical
+        request is a store hit. A fleet request is shipped to its child
+        as its dict form and rebuilt there.
+        """
+        if self.pool is None and not self.config.use_processes:
+            if payload is None:
+                return submit(request)
+            return run_request_payload(payload)
+        if payload is None:
+            return run_supervised(_submit_dict, request.to_dict(), timeout_s)
+        if self.pool is not None:
+            return self.pool.run(payload, timeout_s,
+                                 hedge_s=self.config.hedge_s)
+        return run_supervised(run_request_payload, payload, timeout_s)
+
+    def _remember_good(self, digest: str, result: object) -> None:
         """Feed the stale-cache degraded tier (bounded LRU)."""
-        if not self.config.degraded:
-            return
-        digest = request.digest()
         self._last_good[digest] = result
         self._last_good.move_to_end(digest)
         while len(self._last_good) > _LAST_GOOD_LIMIT:
             self._last_good.popitem(last=False)
 
-    def _degraded_answer(self, request: SimRequest,
+    def _degraded_answer(self, request: SimRequest, digest: str,
                          error: str) -> SimResponse | None:
         """Best approximate answer, or None when none exists."""
-        stale = self._last_good.get(request.digest())
+        stale = self._last_good.get(digest)
         if stale is not None:
             return SimResponse(
                 status="ok", request=request, result=stale,
@@ -596,7 +576,8 @@ class Broker:
             )
         return None
 
-    async def _run_attempts(self, request: SimRequest,
+    async def _run_attempts(self, request: SimRequest, payload,
+                            digest: str,
                             timeout_s: float | None) -> object:
         """The execution core: breaker gate + crash-retry loop.
 
@@ -617,7 +598,7 @@ class Broker:
         while True:
             attempt += 1
             directive = chaos_hooks.fire(
-                "broker.execute", digest=request.digest(),
+                "broker.execute", digest=digest,
                 attempt=attempt,
             )
             budget = None if deadline is None else deadline.remaining()
@@ -628,9 +609,10 @@ class Broker:
                 delay_s = directive.get("delay_s")
                 if delay_s:
                     await asyncio.sleep(float(delay_s))
-                call = loop.run_in_executor(
-                    None, self._runner, request, budget
+                runner = self._runner or functools.partial(
+                    self._run_builtin, payload=payload
                 )
+                call = loop.run_in_executor(None, runner, request, budget)
                 if budget is not None:
                     # Backstop only: the supervised child enforces the
                     # real deadline by killing the process.
@@ -658,14 +640,17 @@ class Broker:
                 self.breaker.record_success()
             return result
 
-    async def _execute(self, request: SimRequest) -> SimResponse:
+    async def _execute(self, request: SimRequest, payload,
+                       digest: str) -> SimResponse:
         timeout_s = self._timeout_for(request)
         async with self._semaphore:
             self._executing += 1
             execution_started = time.monotonic()
             failure: SimResponse | None = None
             try:
-                result = await self._run_attempts(request, timeout_s)
+                result = await self._run_attempts(
+                    request, payload, digest, timeout_s
+                )
             except (WorkerTimeoutError, asyncio.TimeoutError) as error:
                 self.metrics.timeouts += 1
                 message = (
@@ -695,7 +680,7 @@ class Broker:
             if failure is not None:
                 if self.config.degraded:
                     answer = self._degraded_answer(
-                        request, failure.error or failure.status
+                        request, digest, failure.error or failure.status
                     )
                     if answer is not None:
                         self.metrics.degraded += 1
@@ -706,11 +691,11 @@ class Broker:
             self._service_s.append(
                 time.monotonic() - execution_started
             )
-            if self.config.cache and request.cacheable:
+            if self.config.cache and payload is not None:
                 from repro.core.sweep import seed_memo
 
-                kind, kwargs = request.to_run_payload()
-                seed_memo(kind, kwargs, result)
-            self._remember_good(request, result)
+                seed_memo(*payload, result)
+            if self.config.degraded:
+                self._remember_good(digest, result)
             return SimResponse(status="ok", request=request,
                                result=result)

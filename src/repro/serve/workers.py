@@ -1,10 +1,13 @@
-"""Persistent worker pool: work-stealing fan-out for the serve tier.
+"""Persistent worker pool: work-stealing fan-out for sweeps and serving.
 
-:class:`WorkerPool` keeps N worker processes alive across requests —
+:class:`WorkerPool` keeps N worker processes alive across tasks —
 unlike :func:`repro.core.parallel.run_supervised` (one fork per
-request) or ``ProcessPoolExecutor`` sweeps (one pool per batch), the
-workers here are spawned once and reused, so a 50-request batch pays
-interpreter+import start-up N times, not 50.
+request), the workers here are spawned once and reused, so a 50-request
+batch pays interpreter+import start-up N times, not 50. It is the one
+process pool in the repo: :func:`repro.core.parallel.map_runs` /
+``map_calls`` (and so ``submit_many(jobs>1)``, ``run_sweep``,
+campaigns and the optimizer's beams) run their fan-outs on it, and the
+broker runs its misses on it.
 
 Scheduling is parent-side work stealing: every worker owns a deque,
 :meth:`WorkerPool.submit` appends to the least-loaded one, and a worker
@@ -20,9 +23,9 @@ Self-healing (see docs/chaos.md for the full policy map):
   set); its in-flight task is re-queued on another worker after a
   full-jitter backoff delay, up to the pool's retry budget, and the
   worker is respawned in place. A task that exhausts the budget
-  resolves to :class:`repro.core.parallel.WorkerCrashError` (callers
-  like :meth:`WorkerPool.map` then fall back in-process, so batches
-  never drop requests).
+  resolves to :class:`repro.core.parallel.WorkerCrashError` (batch
+  callers — :meth:`WorkerPool.map_calls` — then fall back in-process,
+  so batches never drop requests).
 - **Per-slot circuit breakers.** Each worker *slot* (a respawned
   worker inherits its predecessor's slot) carries a
   :class:`repro.chaos.policies.CircuitBreaker`; a slot that keeps
@@ -57,7 +60,6 @@ re-dials a lost broker with capped, jittered backoff instead of dying.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import random
 import threading
@@ -76,12 +78,13 @@ from repro.core.parallel import (
     RunPayload,
     WorkerCrashError,
     WorkerTimeoutError,
+    default_jobs,
     run_request_payload,
 )
 
 #: Default attempts per task across worker deaths before it resolves to
-#: :class:`WorkerCrashError` (1 initial + 1 retry, matching the sweep
-#: fan-out's crash policy). Override with ``WorkerPool(retry=...)``.
+#: :class:`WorkerCrashError` (1 initial + 1 retry). Override with
+#: ``WorkerPool(retry=...)``.
 _TASK_ATTEMPTS = 2
 
 #: Default full-jitter backoff for task redispatch after a failure.
@@ -98,9 +101,30 @@ _HEALTH_INTERVAL_S = 0.5
 _SERVICE_WINDOW = 64
 
 
+def _portable(error: BaseException):
+    """What an ``"error"`` answer carries: the exception itself when it
+    survives a pickle round trip (so batch callers can re-raise its own
+    type), else its ``Type: message`` text."""
+    if isinstance(error, Exception):
+        try:
+            pickle.loads(pickle.dumps(error))
+            return error
+        except Exception:
+            pass
+    return f"{type(error).__name__}: {error}"
+
+
+def _error_text(value) -> str:
+    """``Type: message`` text of an ``"error"`` answer's value."""
+    if isinstance(value, str):
+        return value
+    return f"{type(value).__name__}: {value}"
+
+
 def _worker_loop(conn) -> str:
     """Worker side: receive ``(task_id, fn, arg)``, answer
-    ``(task_id, status, value)``.
+    ``(task_id, status, value)``; an ``"error"`` value is what
+    :func:`_portable` makes of the raised exception.
 
     Returns ``"shutdown"`` when the pool sent the explicit ``None``
     goodbye, ``"lost"`` when the connection died (EOF / reset) — the
@@ -119,7 +143,7 @@ def _worker_loop(conn) -> str:
         try:
             outcome = ("ok", fn(arg))
         except BaseException as error:  # report, never kill the loop
-            outcome = ("error", f"{type(error).__name__}: {error}")
+            outcome = ("error", _portable(error))
         try:
             conn.send((task_id, *outcome))
         except (BrokenPipeError, OSError, TypeError, ValueError):
@@ -258,7 +282,7 @@ class WorkerPool:
                  breaker_failures: int = 3,
                  breaker_reset_s: float = 5.0) -> None:
         if workers is None:
-            workers = max(1, (os.cpu_count() or 2) - 1)
+            workers = default_jobs()
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if breaker_failures < 0:
@@ -487,7 +511,7 @@ class WorkerPool:
                 status, value = winner.result()
                 if status == "ok":
                     return value
-                raise PayloadError(value)
+                raise PayloadError(_error_text(value))
             futures = [f for f in futures if not f.done()]
             if not futures:
                 raise crash if crash is not None else WorkerCrashError(
@@ -506,39 +530,47 @@ class WorkerPool:
 
     def map(self, payloads: list[RunPayload],
             report: ExecutionReport | None = None) -> list:
-        """Run payloads through the pool; results in input order.
+        """Run payloads through the pool (cached execution); results in
+        input order. See :meth:`map_calls`."""
+        return self.map_calls(run_request_payload, payloads, report)
 
-        Crash recovery matches :func:`repro.core.parallel.map_runs`:
-        payloads whose workers died are retried on another worker, and
+    def map_calls(self, fn, items: list,
+                  report: ExecutionReport | None = None) -> list:
+        """``[fn(item) for item in items]`` on the pool, in input order.
+
+        Items whose workers died are retried on another worker, and
         anything that still cannot complete runs in-process — the batch
-        never drops a request. ``report`` captures what happened.
+        never drops an item. ``report`` records the input index of each
+        item that was retried and of each that fell back (one that used
+        up its retries is in both). An item's own exception is
+        re-raised with its own type when it pickles, else as
+        :class:`PayloadError`.
         """
         futures: list[Future | None] = []
-        for payload in payloads:
+        for item in items:
             try:
-                futures.append(self.submit_payload(payload))
+                futures.append(self.submit(fn, item))
             except WorkerCrashError:
                 futures.append(None)
         results = []
-        for index, (payload, future) in enumerate(zip(payloads, futures)):
-            retried = crashed = False
-            if future is None:
-                crashed = True
-            else:
+        for index, (item, future) in enumerate(zip(items, futures)):
+            crashed = future is None
+            if not crashed:
                 try:
                     status, value = future.result()
-                    retried = future.repro_retried  # type: ignore[attr-defined]
                 except (WorkerCrashError, WorkerTimeoutError):
                     crashed = True
+            if (report is not None
+                    and getattr(future, "repro_retried", False)):
+                report.retried.append(index)
             if crashed:
                 if report is not None:
                     report.fell_back.append(index)
-                results.append(run_request_payload(payload))
-                continue
-            if retried and report is not None:
-                report.retried.append(index)
-            if status == "ok":
+                results.append(fn(item))
+            elif status == "ok":
                 results.append(value)
+            elif isinstance(value, BaseException):
+                raise value
             else:
                 raise PayloadError(value)
         return results
@@ -659,6 +691,9 @@ class WorkerPool:
         if task.future.done():
             return
         if task.attempts >= self._retry.attempts or not self._workers:
+            task.future.repro_retried = (  # type: ignore[attr-defined]
+                task.attempts > 1
+            )
             task.future.set_exception(WorkerCrashError(
                 f"worker process died without reporting a result "
                 f"({reason}; {task.attempts} attempt(s))"

@@ -233,6 +233,17 @@ class TestSubmitMany:
         with pytest.raises(TypeError):
             submit_many([_request(), "not a request"])
 
+    def test_run_time_error_keeps_its_type_for_any_jobs(self):
+        # Valid requests whose batch geometry only fails when the graph
+        # is built; two distinct ones, so jobs=2 really uses the pool.
+        requests = [
+            _request(microbatch_size=3),
+            _request(microbatch_size=3, global_batch_size=16),
+        ]
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="microbatches of 3"):
+                submit_many(requests, jobs=jobs)
+
 
 class TestFleetRequests:
     def test_fleet_submit(self):

@@ -222,6 +222,19 @@ class TestPayloadFaults:
             assert pool.respawns == 0
 
 
+    def test_payload_error_type_per_path(self):
+        """The broker path wraps a payload's own error in PayloadError
+        (its never-retry rule keys on that type); the batch path
+        re-raises the original type."""
+        bad = ("train", dict(model="gpt3-13b", cluster="mi250x32",
+                             parallelism="TP3"))
+        with WorkerPool(1) as pool:
+            with pytest.raises(PayloadError, match="ValueError: 32 GPUs"):
+                pool.run(bad)
+            with pytest.raises(ValueError, match="32 GPUs"):
+                pool.map([bad])
+
+
 class TestRemoteDrop:
     def test_dropped_remote_connection_redistributes_the_task(self):
         events = []

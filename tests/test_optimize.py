@@ -301,6 +301,14 @@ class TestRunOptimize:
         assert isinstance(result, OptimizeResult)
         assert result.request_digest == request.digest()
 
+    def test_submit_many_runs_optimize_requests(self):
+        from repro.api import submit_many
+
+        request = _request()
+        (result,) = submit_many([request])
+        assert isinstance(result, OptimizeResult)
+        assert result.request_digest == request.digest()
+
     def test_unknown_kind_suggests(self):
         from repro.core.sweep import cached_run
 

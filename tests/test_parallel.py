@@ -10,6 +10,8 @@ import os
 import signal
 from pathlib import Path
 
+import pytest
+
 import repro.core.parallel as parallel
 from repro.core.campaign import ExperimentSpec, run_campaign
 from repro.core.parallel import (
@@ -19,7 +21,7 @@ from repro.core.parallel import (
     map_runs,
     resolve_jobs,
 )
-from repro.core.sweep import SweepPoint, clear_cache, run_sweep
+from repro.core.sweep import SweepPoint, clear_cache, lookup_memo, run_sweep
 from tests.conftest import assert_run_results_equal
 
 POINTS = [
@@ -85,6 +87,44 @@ class TestMapPrimitives:
 
     def test_map_runs_empty(self):
         assert map_runs([], jobs=4) == []
+
+    def test_map_runs_raises_the_payloads_own_error(self):
+        bad = [
+            ("train", dict(model="gpt3-13b", cluster="mi250x32",
+                           parallelism="TP3", global_batch_size=batch))
+            for batch in (16, 32)
+        ]
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="not divisible"):
+                map_runs(bad, jobs=jobs)
+
+    def test_pooled_map_runs_dedupes_and_seeds_the_memo(
+        self, monkeypatch
+    ):
+        import repro.serve.workers as workers_mod
+
+        pools = []
+
+        class RecordingPool(workers_mod.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(workers_mod, "WorkerPool", RecordingPool)
+        a, b = [
+            ("train", dict(model="gpt3-13b", cluster="mi250x32",
+                           parallelism=point.parallelism,
+                           global_batch_size=16))
+            for point in POINTS
+        ]
+        clear_cache()
+        results = map_runs([a, b, a, b, a], jobs=2)
+        assert len(pools) == 1
+        assert pools[0].completed == 2  # one run per distinct payload
+        assert results[0] is results[2] is results[4]
+        assert results[1] is results[3]
+        assert lookup_memo(*a) is results[0]
+        assert lookup_memo(*b) is results[1]
 
 
 class TestCrashRecovery:

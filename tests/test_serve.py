@@ -78,6 +78,45 @@ class TestCachePath:
         assert broker.metrics.hits == 1
         assert broker.metrics.misses == 1
 
+    def test_miss_builds_its_run_payload_once(self, monkeypatch):
+        """A serving miss derives its run payload once per submit (plus
+        once inside digest()), not once per probe, runner and memo
+        step; each derivation re-decodes the whole serving dict."""
+        from repro.inferserve.config import ServingConfig
+
+        counts = {"payload": 0, "decode": 0}
+        real_payload = SimRequest.to_run_payload
+        real_decode = ServingConfig.from_dict.__func__
+
+        def counting_payload(self):
+            counts["payload"] += 1
+            return real_payload(self)
+
+        def counting_decode(cls, data):
+            counts["decode"] += 1
+            return real_decode(cls, data)
+
+        monkeypatch.setattr(SimRequest, "to_run_payload", counting_payload)
+        monkeypatch.setattr(ServingConfig, "from_dict",
+                            classmethod(counting_decode))
+        request = SimRequest(
+            kind="serving", model="gpt3-13b", cluster="h200x32",
+            serving={
+                "trace": {"duration_s": 30.0, "mean_rate_per_s": 2.0},
+                "batcher": {"gpus_per_replica": 8},
+            },
+        )
+
+        async def scenario():
+            broker = Broker(BrokerConfig(use_processes=False))
+            return await broker.submit(request)
+
+        counts.update(payload=0, decode=0)  # count the submit only
+        response = run_async(scenario)
+        assert response.ok and not response.cached
+        assert counts["payload"] <= 2
+        assert counts["decode"] <= 2
+
     def test_cache_disabled_always_executes(self):
         async def scenario():
             calls = []
